@@ -32,12 +32,21 @@ type Progress struct {
 	startNS atomic.Int64
 	wallNS  atomic.Int64 // latched at finish
 
-	perWorker []atomic.Int64
+	// workers is the current run's per-worker state. begin publishes a
+	// fresh set whole, so a concurrent Snapshot (the /campaign stream
+	// polls on a ticker) sees either the previous run's set or the new
+	// one, never a half-replaced pair.
+	workers atomic.Pointer[workerSet]
 
 	gTotal, gDone, gDetected, gMissed, gFalse *obs.Gauge
 	gRate, gETA                               *obs.Gauge
 	famWorker                                 *obs.Family
-	workerGauges                              []*obs.Gauge
+}
+
+// workerSet is one run's per-worker scenario counts and their gauges.
+type workerSet struct {
+	done   []atomic.Int64
+	gauges []*obs.Gauge
 }
 
 // NewProgress builds a tracker publishing into reg's campaign gauges
@@ -67,12 +76,12 @@ func (p *Progress) begin(total, workers int) {
 	p.falseA.Store(0)
 	p.wallNS.Store(0)
 	p.startNS.Store(time.Now().UnixNano())
-	p.perWorker = make([]atomic.Int64, workers)
-	p.workerGauges = make([]*obs.Gauge, workers)
-	for w := range p.workerGauges {
-		p.workerGauges[w] = p.famWorker.Gauge(strconv.Itoa(w))
-		p.workerGauges[w].Set(0)
+	ws := &workerSet{done: make([]atomic.Int64, workers), gauges: make([]*obs.Gauge, workers)}
+	for w := range ws.gauges {
+		ws.gauges[w] = p.famWorker.Gauge(strconv.Itoa(w))
+		ws.gauges[w].Set(0)
 	}
+	p.workers.Store(ws)
 	p.gTotal.Set(int64(total))
 	p.gDone.Set(0)
 	p.gDetected.Set(0)
@@ -92,9 +101,8 @@ func (p *Progress) scenarioDone(worker int, detected, missed, falseAlarm bool) {
 	}
 	done := p.done.Add(1)
 	p.gDone.Set(done)
-	if worker >= 0 && worker < len(p.perWorker) {
-		n := p.perWorker[worker].Add(1)
-		p.workerGauges[worker].Set(n)
+	if ws := p.workers.Load(); ws != nil && worker >= 0 && worker < len(ws.done) {
+		ws.gauges[worker].Set(ws.done[worker].Add(1))
 	}
 	if detected {
 		p.gDetected.Set(p.detect.Add(1))
@@ -165,9 +173,11 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 			s.ETASeconds = float64(s.Total-s.Done) / s.ScenPerSec
 		}
 	}
-	s.Workers = make([]int64, len(p.perWorker))
-	for i := range p.perWorker {
-		s.Workers[i] = p.perWorker[i].Load()
+	if ws := p.workers.Load(); ws != nil {
+		s.Workers = make([]int64, len(ws.done))
+		for i := range ws.done {
+			s.Workers[i] = ws.done[i].Load()
+		}
 	}
 	return s
 }

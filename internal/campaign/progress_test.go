@@ -126,11 +126,28 @@ func TestProgressServeHTTPStream(t *testing.T) {
 }
 
 // A real (tiny) campaign run drives Progress to totals that match the
-// returned summary.
+// returned summary. A poller snapshots the tracker throughout, as the
+// /campaign stream does, so under -race this also checks that Run's
+// start publishes per-worker state safely.
 func TestProgressTracksRun(t *testing.T) {
 	reg := obs.NewRegistry("campaign")
 	p := NewProgress(reg)
+	stop := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+				_ = p.Snapshot()
+			}
+		}
+	}()
 	sum, err := Run(Options{N: 12, Seed: 7, Workers: 2, Progress: p})
+	close(stop)
+	<-polled
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -208,26 +208,32 @@ func WithObserver(reg *obs.Registry) Option {
 //
 // Locking. The engine runs two pipelines:
 //
-//   - The global pipeline serializes under mu — the seed design. Robot
-//     motion and manipulation (whose rules and transitions reach across
-//     devices), commands whose rule bucket reads other devices' state
-//     (rb.LabelReadsGlobal), and everything under WithSerialPipeline take
-//     this path.
-//   - The sharded pipeline never takes mu. A command whose rules read
-//     only its own devices locks just those devices' shard mutexes for
-//     the whole Before→execute→After cycle, so disjoint-device commands
-//     validate, execute, fetch, and compare concurrently.
+//   - The global pipeline holds mu exclusively in Before and in After —
+//     the seed design. Robot motion and manipulation (whose rules and
+//     transitions reach across devices), commands whose rule bucket reads
+//     other devices' state (rb.LabelReadsGlobal), and everything under
+//     WithSerialPipeline take this path.
+//   - The sharded pipeline holds mu shared, plus just its own devices'
+//     shard mutexes, for the whole Before→execute→After cycle, so
+//     disjoint-device commands validate, execute, fetch, and compare
+//     concurrently.
+//
+// A global Before or After therefore never overlaps a sharded cycle: its
+// full-state fetch, compare and commit cannot see a device mid-cycle or
+// overwrite a fresher sharded commit. The cost is that a global section
+// waits for in-flight sharded cycles, execution included.
 //
 // Shared structures get their own short-section locks: stateMu guards the
 // model (readers validate/compare under RLock, commits take Lock),
 // adminMu guards started/stopped/alerts, shardMu guards the shard table.
-// Lock order is mu → shard mutexes → stateMu → adminMu; shardMu is a
-// leaf taken only for table lookups, never while acquiring shard mutexes.
+// Lock order is mu (shared or exclusive) → shard mutexes → stateMu →
+// adminMu; shardMu is a leaf taken only for table lookups, never while
+// acquiring shard mutexes.
 // The fail-safe handler runs outside every lock, after the check span has
 // been stamped into cCheckNS (the handler may command devices and take
 // arbitrarily long; its time is the lab's, not the checker's).
 type Engine struct {
-	mu        sync.Mutex // global pipeline: motion, manipulation, global-read rules
+	mu        sync.RWMutex // exclusive: global pipeline; shared: sharded cycles
 	rb        *rules.Rulebase
 	env       Environment
 	scopedEnv ScopedEnvironment // env, when it supports scoped fetch
@@ -284,10 +290,9 @@ type Engine struct {
 	inflight atomic.Int64
 
 	// shardMu guards the per-device shard table (see shard.go).
-	shardMu  sync.Mutex
-	shards   map[string]*sync.Mutex
-	inFlight map[string]int
-	tickets  map[string]*shardTicket
+	shardMu sync.Mutex
+	shards  map[string]*sync.Mutex
+	tickets map[string]*shardTicket
 
 	// obs is the telemetry registry; the instruments below are resolved
 	// once at construction so the hot path never takes a map lookup.
@@ -385,7 +390,6 @@ func (e *Engine) Start() {
 	e.pendingRecs = nil
 	e.shardMu.Lock()
 	e.shards = map[string]*sync.Mutex{}
-	e.inFlight = map[string]int{}
 	e.tickets = map[string]*shardTicket{}
 	e.shardMu.Unlock()
 	// A fresh run measures from zero: reset the engine-owned instruments
@@ -664,9 +668,9 @@ func (e *Engine) beforeGlobal(cmd action.Command, start time.Time, fs **Alert) e
 	return nil
 }
 
-// afterGlobal settles a global-path command. While sharded commands are
-// in flight, their devices' keys are excluded from both the comparison
-// and the commit — their effects belong to those commands' own Afters.
+// afterGlobal settles a global-path command. Holding mu exclusively
+// waits out every in-flight sharded cycle, so the full-state fetch sees
+// each device settled and the commit cannot overwrite a sharded commit.
 func (e *Engine) afterGlobal(cmd action.Command, start time.Time, fs **Alert) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -697,7 +701,6 @@ func (e *Engine) afterGlobal(cmd action.Command, start time.Time, fs **Alert) er
 	// after.fetch runs from After's entry through state acquisition; its
 	// end stamp doubles as after.compare's start (see Before).
 	observed := e.env.FetchState()
-	e.dropInFlight(observed)
 	fetchEnd := time.Now()
 	fd := fetchEnd.Sub(start)
 	e.hFetch.ObserveExemplar(fd, traceID)

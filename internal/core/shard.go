@@ -35,8 +35,9 @@ import (
 // fresh sensor readings are benign.
 
 // shardTicket tracks one in-flight sharded command, keyed by its device
-// (sound: the device's shard mutex admits one command cycle at a time,
-// and global-path commands never touch the ticket table).
+// (sound: the device's shard mutex admits one command cycle at a time).
+// The cycle holds the engine's mu shared from Before to After, so no
+// global-path check or commit runs while a ticket is live.
 type shardTicket struct {
 	scope    []string // sorted, deduplicated device/container IDs
 	scopeSet map[string]bool
@@ -111,31 +112,24 @@ func (e *Engine) lockScope(scope []string) []*sync.Mutex {
 	return locks
 }
 
-// registerTicket publishes the in-flight command so the global pipeline
-// can exclude its devices' keys from compare/commit.
+// registerTicket publishes the in-flight command so its After can find
+// the expectation its Before computed.
 func (e *Engine) registerTicket(device string, t *shardTicket) {
 	e.shardMu.Lock()
-	for _, id := range t.scope {
-		e.inFlight[id]++
-	}
 	e.tickets[device] = t
 	e.shardMu.Unlock()
 }
 
 // releaseTicket retires the command: bookkeeping first, then the shard
-// mutexes in reverse order.
+// mutexes in reverse order, then the shared hold on mu.
 func (e *Engine) releaseTicket(device string, t *shardTicket) {
 	e.shardMu.Lock()
-	for _, id := range t.scope {
-		if e.inFlight[id]--; e.inFlight[id] <= 0 {
-			delete(e.inFlight, id)
-		}
-	}
 	delete(e.tickets, device)
 	e.shardMu.Unlock()
 	for i := len(t.locks) - 1; i >= 0; i-- {
 		t.locks[i].Unlock()
 	}
+	e.mu.RUnlock()
 }
 
 // lookupTicket finds the in-flight ticket for a device, if any.
@@ -143,29 +137,6 @@ func (e *Engine) lookupTicket(device string) *shardTicket {
 	e.shardMu.Lock()
 	defer e.shardMu.Unlock()
 	return e.tickets[device]
-}
-
-// dropInFlight removes from a full observed snapshot every key owned by a
-// device some sharded command currently holds. Those keys' transitions
-// belong to the in-flight command's own After; comparing or committing
-// them here would raise spurious malfunctions (the global path would see
-// effects it has no expectation for) or clobber fresher expectations.
-func (e *Engine) dropInFlight(observed state.Snapshot) {
-	e.shardMu.Lock()
-	if len(e.inFlight) == 0 {
-		e.shardMu.Unlock()
-		return
-	}
-	busy := make(map[string]bool, len(e.inFlight))
-	for id := range e.inFlight {
-		busy[id] = true
-	}
-	e.shardMu.Unlock()
-	for k := range observed {
-		if args := k.Args(); len(args) > 0 && busy[args[0]] {
-			delete(observed, k)
-		}
-	}
 }
 
 // fetchScoped obtains the observed state of the scope's devices plus all
@@ -197,8 +168,9 @@ func (e *Engine) filterScope(observed state.Snapshot, scope map[string]bool) {
 	}
 }
 
-// beforeSharded validates a command under its devices' shard locks. On
-// success the locks stay held until afterSharded releases them.
+// beforeSharded validates a command under mu (shared) and its devices'
+// shard locks. On success all of them stay held until afterSharded
+// releases them.
 func (e *Engine) beforeSharded(cmd action.Command, start time.Time, fs **Alert) error {
 	started, stopped := e.adminState()
 	if !started {
@@ -207,6 +179,7 @@ func (e *Engine) beforeSharded(cmd action.Command, start time.Time, fs **Alert) 
 	if stopped != nil {
 		return fmt.Errorf("%w: %s", ErrStopped, stopped.Error())
 	}
+	e.mu.RLock()
 	scope := e.shardScope(cmd)
 	t := &shardTicket{scope: scope, scopeSet: make(map[string]bool, len(scope))}
 	for _, id := range scope {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -110,25 +111,42 @@ func (f *concEnv) Now() time.Duration {
 	return f.now
 }
 
-// TestShardedConcurrentScripts drives eight per-device scripts plus one
-// door script through a single engine from separate goroutines — the
-// deployment the sharded pipeline exists for. Run under -race this is
-// the pipeline's data-race test; the assertions check that every
-// command committed and the model converged to ground truth.
-func TestShardedConcurrentScripts(t *testing.T) {
-	const devices = 8
-	const cycles = 25
-	env := newConcEnv()
-	env.st.Set(state.DoorStatus("dd"), state.Bool(false))
+// drawScripts draws one seed's concurrent workload: a random
+// set/start/stop script for each fleet device (disjoint devices, so any
+// interleaving is valid), plus a door script on "dd" whose OpenDoor
+// shards and whose CloseDoor takes the global path (rule 2 reads every
+// arm's state) — the mix that exercises both pipelines at once.
+func drawScripts(rng *rand.Rand, devices int) [][]action.Command {
+	scripts := make([][]action.Command, 0, devices+1)
 	for g := 0; g < devices; g++ {
 		id := fmt.Sprintf("d%d", g)
-		env.st.Set(state.Running(id), state.Bool(false))
-		env.st.Set(state.ActionValue(id), state.Float(0))
+		cmds := make([]action.Command, 20+rng.Intn(40))
+		for c := range cmds {
+			switch rng.Intn(3) {
+			case 0:
+				cmds[c] = action.Command{Device: id, Action: action.SetActionValue, Value: float64(rng.Intn(101))}
+			case 1:
+				cmds[c] = action.Command{Device: id, Action: action.StartAction}
+			default:
+				cmds[c] = action.Command{Device: id, Action: action.StopAction}
+			}
+		}
+		scripts = append(scripts, cmds)
 	}
-	rb := rules.MustNewRulebase(fleetLab{n: devices}, rules.Config{Generation: rules.GenInitial})
-	e := New(rb, env)
-	e.Start()
+	var door []action.Command
+	for c := 10 + rng.Intn(30); c > 0; c-- {
+		door = append(door,
+			action.Command{Device: "dd", Action: action.OpenDoor},
+			action.Command{Device: "dd", Action: action.CloseDoor},
+		)
+	}
+	return append(scripts, door)
+}
 
+// runScripts runs each script through e and env — all at once from
+// separate goroutines when concurrent, else one after another — and
+// returns the first script error.
+func runScripts(e *Engine, env *concEnv, scripts [][]action.Command, concurrent bool) error {
 	run := func(cmds []action.Command) error {
 		for _, cmd := range cmds {
 			if err := e.Before(cmd); err != nil {
@@ -143,60 +161,82 @@ func TestShardedConcurrentScripts(t *testing.T) {
 		}
 		return nil
 	}
-
-	errs := make([]error, devices+1)
+	errs := make([]error, len(scripts))
 	var wg sync.WaitGroup
-	for g := 0; g < devices; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			id := fmt.Sprintf("d%d", g)
-			var cmds []action.Command
-			for c := 0; c < cycles; c++ {
-				cmds = append(cmds,
-					action.Command{Device: id, Action: action.SetActionValue, Value: float64(10 + c%80)},
-					action.Command{Device: id, Action: action.StartAction},
-					action.Command{Device: id, Action: action.StopAction},
-				)
-			}
+	for g, cmds := range scripts {
+		if !concurrent {
 			errs[g] = run(cmds)
-		}(g)
-	}
-	// One script works the door device: OpenDoor shards, CloseDoor takes
-	// the global path (rule 2 reads every arm's state), so the run mixes
-	// both pipelines against the same engine.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var cmds []action.Command
-		for c := 0; c < cycles; c++ {
-			cmds = append(cmds,
-				action.Command{Device: "dd", Action: action.OpenDoor},
-				action.Command{Device: "dd", Action: action.CloseDoor},
-			)
+			continue
 		}
-		errs[devices] = run(cmds)
-	}()
+		wg.Add(1)
+		go func(g int, cmds []action.Command) {
+			defer wg.Done()
+			errs[g] = run(cmds)
+		}(g, cmds)
+	}
 	wg.Wait()
 	for g, err := range errs {
 		if err != nil {
-			t.Fatalf("script %d failed: %v", g, err)
+			return fmt.Errorf("script %d: %w", g, err)
 		}
 	}
-	if a := e.Stopped(); a != nil {
-		t.Fatalf("unexpected alert: %v", a)
+	return nil
+}
+
+// TestShardedConcurrentScripts is the sharded pipeline's interleaving
+// property: for every seed, the drawn scripts run concurrently through
+// one sharded engine and must end with no alert, every command
+// processed, and a model equal both to ground truth and to a
+// WithSerialPipeline run of the same per-script command lists. Run
+// under -race it is also the pipeline's data-race test.
+func TestShardedConcurrentScripts(t *testing.T) {
+	const devices = 8
+	rb := rules.MustNewRulebase(fleetLab{n: devices}, rules.Config{Generation: rules.GenInitial})
+	fresh := func(opts ...Option) (*Engine, *concEnv) {
+		env := newConcEnv()
+		env.st.Set(state.DoorStatus("dd"), state.Bool(false))
+		for g := 0; g < devices; g++ {
+			id := fmt.Sprintf("d%d", g)
+			env.st.Set(state.Running(id), state.Bool(false))
+			env.st.Set(state.ActionValue(id), state.Float(0))
+		}
+		e := New(rb, env, opts...)
+		e.Start()
+		return e, env
 	}
-	_, commands := e.CheckOverhead()
-	want := devices*cycles*3 + cycles*2
-	if commands != want {
-		t.Errorf("commands processed = %d, want %d", commands, want)
-	}
-	// The model must have converged to ground truth on every observable.
-	model := e.Model()
-	for k, v := range env.FetchState() {
-		got, ok := model.Get(k)
-		if !ok || !got.Equal(v) {
-			t.Errorf("model[%s] = %v, want %v", k, got, v)
+	for seed := int64(1); seed <= 6; seed++ {
+		scripts := drawScripts(rand.New(rand.NewSource(seed)), devices)
+		total := 0
+		for _, cmds := range scripts {
+			total += len(cmds)
+		}
+		sharded, env := fresh()
+		if err := runScripts(sharded, env, scripts, true); err != nil {
+			t.Fatalf("seed %d: sharded %v", seed, err)
+		}
+		if a := sharded.Alerts(); len(a) > 0 {
+			t.Fatalf("seed %d: unexpected alerts %v", seed, a)
+		}
+		if _, n := sharded.CheckOverhead(); n != total {
+			t.Errorf("seed %d: commands processed = %d, want %d", seed, n, total)
+		}
+		serial, serialEnv := fresh(WithSerialPipeline())
+		if err := runScripts(serial, serialEnv, scripts, false); err != nil {
+			t.Fatalf("seed %d: serial %v", seed, err)
+		}
+		model, ref := sharded.Model(), serial.Model()
+		for k, v := range env.FetchState() {
+			if got, ok := model.Get(k); !ok || !got.Equal(v) {
+				t.Errorf("seed %d: model[%s] = %v, ground truth %v", seed, k, got, v)
+			}
+		}
+		if len(model) != len(ref) {
+			t.Errorf("seed %d: sharded model has %d keys, serial %d", seed, len(model), len(ref))
+		}
+		for k, v := range ref {
+			if got, ok := model.Get(k); !ok || !got.Equal(v) {
+				t.Errorf("seed %d: model[%s] = %v, serial %v", seed, k, got, v)
+			}
 		}
 	}
 }

@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/action"
 	"repro/internal/obs"
-	otrace "repro/internal/obs/trace"
 	"repro/internal/obs/recorder"
+	otrace "repro/internal/obs/trace"
 	"repro/internal/state"
 )
 

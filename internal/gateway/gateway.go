@@ -110,9 +110,10 @@ type session struct {
 	// NDJSON response stream is never interleaved with another batch on
 	// the same session. seq mirrors the interceptor's per-command
 	// sequence (one increment per Do), giving each streamed verdict the
-	// same seq its trace record carries.
+	// same seq its trace record carries; it is written under mu and read
+	// lock-free as the session's command count.
 	mu     sync.Mutex
-	seq    int
+	seq    atomic.Int64
 	closed atomic.Bool
 }
 

@@ -120,6 +120,30 @@ func postBatch(t *testing.T, srv *httptest.Server, session string, cmds []action
 	return out, resp.StatusCode
 }
 
+// postRaw posts a raw body and returns the response status.
+func postRaw(t *testing.T, srv *httptest.Server, path string, body []byte) int {
+	t.Helper()
+	resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// getSessionInfo fetches a session's info and the response status.
+func getSessionInfo(t *testing.T, srv *httptest.Server, session string) (SessionInfo, int) {
+	t.Helper()
+	resp, err := http.Get(srv.URL + "/v1/sessions/" + session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var info SessionInfo
+	_ = json.NewDecoder(resp.Body).Decode(&info)
+	return info, resp.StatusCode
+}
+
 // parityScript exercises ok, blocked, and post-blocked-rejection
 // verdicts: a safe heat cycle, then a setpoint over the hotplate's
 // MaxSafeValue.
@@ -190,9 +214,14 @@ func TestGatewayEmbeddedParity(t *testing.T) {
 
 // Four lab tenants, several sessions each, all streaming concurrently:
 // every verdict lands ok, tenants stay isolated, and the pool reports
-// all four labs. Run under -race this is the multi-tenant soak.
+// all four labs. Each lab also runs a door session whose OpenDoor takes
+// the engine's sharded path and whose CloseDoor takes the global path,
+// so the hotplate sessions' sharded cycles interleave with global
+// checks and commits on the same engine. Run under -race this is the
+// multi-tenant soak.
 func TestGatewayConcurrentTenantSessions(t *testing.T) {
-	const labsN, sessionsPerLab, commands = 4, 3, 24
+	const labsN, hotplates, commands = 4, 3, 24
+	const sessionsPerLab = hotplates + 1
 	gw, srv := newTestGateway(t, Options{QueueDepth: sessionsPerLab})
 
 	type sess struct {
@@ -201,10 +230,26 @@ func TestGatewayConcurrentTenantSessions(t *testing.T) {
 	}
 	var sessions []sess
 	for l := 0; l < labsN; l++ {
-		spec := fleetSpec(fmt.Sprintf("conc-%02d", l), sessionsPerLab)
+		spec := fleetSpec(fmt.Sprintf("conc-%02d", l), hotplates)
+		spec.Devices = append(spec.Devices, config.DeviceSpec{
+			ID: "doser", Type: "dosing_system", Kind: "dosing", ClassName: "MTQuantos",
+			Door: config.DoorSpec{Present: true, Side: "y-"},
+			Cuboid: config.BoxSpec{
+				Min: config.Vec{X: 0, Y: 0.5, Z: 0},
+				Max: config.Vec{X: 0.2, Y: 0.7, Z: 0.3},
+			},
+			Interior: &config.BoxSpec{
+				Min: config.Vec{X: 0.03, Y: 0.53, Z: 0.03},
+				Max: config.Vec{X: 0.17, Y: 0.67, Z: 0.27},
+			},
+		})
 		for k := 0; k < sessionsPerLab; k++ {
+			device := "doser"
+			if k < hotplates {
+				device = fmt.Sprintf("hp%02d", k)
+			}
 			info := createSession(t, srv, CreateSessionRequest{Spec: rawSpec(t, spec)})
-			sessions = append(sessions, sess{id: info.SessionID, device: fmt.Sprintf("hp%02d", k)})
+			sessions = append(sessions, sess{id: info.SessionID, device: device})
 		}
 	}
 
@@ -216,8 +261,17 @@ func TestGatewayConcurrentTenantSessions(t *testing.T) {
 			defer wg.Done()
 			var cmds []action.Command
 			for c := 0; c < commands/4; c++ {
+				if s.device == "doser" {
+					cmds = append(cmds,
+						action.Command{Device: s.device, Action: action.OpenDoor},
+						action.Command{Device: s.device, Action: action.CloseDoor},
+						action.Command{Device: s.device, Action: action.OpenDoor},
+						action.Command{Device: s.device, Action: action.CloseDoor},
+					)
+					continue
+				}
 				cmds = append(cmds,
-					action.Command{Device: s.device, Action: action.SetActionValue, Value: 60},
+					action.Command{Device: s.device, Action: action.SetActionValue, Value: float64(40 + c%20*4 + i%4)},
 					action.Command{Device: s.device, Action: action.StartAction, Duration: time.Second},
 					action.Command{Device: s.device, Action: action.ReadStatus},
 					action.Command{Device: s.device, Action: action.StopAction},
@@ -244,6 +298,12 @@ func TestGatewayConcurrentTenantSessions(t *testing.T) {
 	for i, err := range errs {
 		if err != nil {
 			t.Errorf("session %d: %v", i, err)
+		}
+	}
+	// Session info counts the commands each session has run.
+	for i, s := range sessions {
+		if info, status := getSessionInfo(t, srv, s.id); status != http.StatusOK || info.Commands != commands {
+			t.Errorf("session %d info: status %d, %d commands, want %d", i, status, info.Commands, commands)
 		}
 	}
 
@@ -506,6 +566,35 @@ func TestGatewayErrorPaths(t *testing.T) {
 	}
 
 	info := createSession(t, srv, CreateSessionRequest{Spec: rawSpec(t, fleetSpec("closing", 1))})
+
+	// Bounded input: bodies over maxBodyBytes and batches over
+	// maxBatchCommands are refused with 413 before anything runs;
+	// malformed batches get 400.
+	huge := append(append([]byte(`{"lab":"`), bytes.Repeat([]byte("x"), maxBodyBytes)...), `"}`...)
+	if status := postRaw(t, srv, "/v1/sessions", huge); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized create body: %d, want 413", status)
+	}
+	commandsURL := "/v1/sessions/" + info.SessionID + "/commands"
+	hugeBatch := append(append([]byte(`{"commands":[],"pad":"`), bytes.Repeat([]byte("x"), maxBodyBytes)...), `"}`...)
+	if status := postRaw(t, srv, commandsURL, hugeBatch); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized batch body: %d, want 413", status)
+	}
+	tooMany := make([]action.Command, maxBatchCommands+1)
+	for i := range tooMany {
+		tooMany[i] = action.Command{Device: "hp00", Action: action.ReadStatus}
+	}
+	if _, status := postBatch(t, srv, info.SessionID, tooMany); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("batch of %d commands: %d, want 413", len(tooMany), status)
+	}
+	for _, body := range []string{``, `{"commands":`, `{"commands":5}`, `[]`, `{"commands":[{"device":7}]}`} {
+		if status := postRaw(t, srv, commandsURL, []byte(body)); status != http.StatusBadRequest {
+			t.Fatalf("malformed batch %q: %d, want 400", body, status)
+		}
+	}
+	if got, _ := getSessionInfo(t, srv, info.SessionID); got.Commands != 0 {
+		t.Fatalf("refused batches ran %d commands", got.Commands)
+	}
+
 	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/sessions/"+info.SessionID, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {

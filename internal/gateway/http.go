@@ -34,10 +34,22 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, ErrorBody{Error: err.Error()})
 }
 
+// writeDecodeErr answers a request body that failed to decode: 413 when
+// it is over maxBodyBytes or names more than maxBatchCommands commands,
+// 400 when it is malformed.
+func writeDecodeErr(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) || errors.Is(err, errBatchTooLarge) {
+		writeErr(w, http.StatusRequestEntityTooLarge, err)
+		return
+	}
+	writeErr(w, http.StatusBadRequest, err)
+}
+
 func (g *Gateway) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req CreateSessionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		writeDecodeErr(w, err)
 		return
 	}
 	id, lab, err := g.CreateSession(req.Lab, req.Spec)
@@ -61,7 +73,7 @@ func (g *Gateway) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, SessionInfo{
 		SessionID: s.id,
 		Lab:       s.tenant.lab,
-		Commands:  len(s.ic.Records()),
+		Commands:  int(s.seq.Load()),
 	})
 }
 
@@ -94,9 +106,9 @@ func (g *Gateway) handleCommands(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, errors.New("gateway: session closed"))
 		return
 	}
-	var batch CommandBatch
-	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	batch, err := decodeBatch(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		writeDecodeErr(w, err)
 		return
 	}
 	if !g.admitBatch() {
@@ -152,11 +164,11 @@ func (g *Gateway) handleCommands(w http.ResponseWriter, r *http.Request) {
 		} else {
 			err = s.ic.Do(cmd)
 		}
-		s.seq++
+		seq := int(s.seq.Add(1))
 		if g.opts.WriteTimeout > 0 {
 			_ = rc.SetWriteDeadline(time.Now().Add(g.opts.WriteTimeout))
 		}
-		if werr := enc.Encode(result(cmd, s.seq, err)); werr != nil {
+		if werr := enc.Encode(result(cmd, seq, err)); werr != nil {
 			g.cSlowAborts.Inc()
 			t.mErrs.Inc()
 			return

@@ -2,6 +2,10 @@ package gateway
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"strings"
 
 	"repro/internal/action"
 	"repro/internal/core"
@@ -33,6 +37,76 @@ type SessionInfo struct {
 // script halting on its first alert.
 type CommandBatch struct {
 	Commands []action.Command `json:"commands"`
+}
+
+// Request bounds: every request body is read through http.MaxBytesReader
+// capped at maxBodyBytes, and a batch may name at most maxBatchCommands
+// commands.
+const (
+	maxBodyBytes     = 4 << 20
+	maxBatchCommands = 4096
+)
+
+// errBatchTooLarge rejects a batch naming more than maxBatchCommands
+// commands.
+var errBatchTooLarge = fmt.Errorf("gateway: batch exceeds %d commands", maxBatchCommands)
+
+// decodeBatch reads one CommandBatch from r with the semantics of
+// json.Decoder.Decode, except that it stops with errBatchTooLarge as
+// soon as the commands array passes maxBatchCommands — an oversized
+// batch is refused before it is materialized, not after.
+func decodeBatch(r io.Reader) (CommandBatch, error) {
+	var b CommandBatch
+	dec := json.NewDecoder(r)
+	tok, err := dec.Token()
+	if err != nil || tok == nil { // a JSON null decodes to the empty batch
+		return b, err
+	}
+	if tok != json.Delim('{') {
+		return b, errors.New("gateway: command batch must be a JSON object")
+	}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return b, err
+		}
+		if key, _ := tok.(string); !strings.EqualFold(key, "commands") {
+			var skip json.RawMessage
+			if err := dec.Decode(&skip); err != nil {
+				return b, err
+			}
+			continue
+		}
+		if b.Commands, err = decodeCommands(dec); err != nil {
+			return b, err
+		}
+	}
+	_, err = dec.Token() // the closing '}'
+	return b, err
+}
+
+// decodeCommands reads the value of a batch's "commands" key: null or
+// an array of at most maxBatchCommands commands.
+func decodeCommands(dec *json.Decoder) ([]action.Command, error) {
+	tok, err := dec.Token()
+	if err != nil || tok == nil {
+		return nil, err
+	}
+	if tok != json.Delim('[') {
+		return nil, errors.New("gateway: commands must be a JSON array")
+	}
+	cmds := []action.Command{}
+	for dec.More() {
+		if len(cmds) == maxBatchCommands {
+			return nil, errBatchTooLarge
+		}
+		cmds = append(cmds, action.Command{})
+		if err := dec.Decode(&cmds[len(cmds)-1]); err != nil {
+			return nil, err
+		}
+	}
+	_, err = dec.Token() // the closing ']'
+	return cmds, err
 }
 
 // Outcome values of a CommandResult.
