@@ -13,6 +13,7 @@ package action
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/geom"
@@ -131,24 +132,39 @@ type Command struct {
 
 // String renders the command compactly for alerts and traces.
 func (c Command) String() string {
-	s := fmt.Sprintf("#%d %s.%s", c.Seq, c.Device, c.Action)
+	// Appended into a stack buffer: every gateway verdict line renders
+	// its command, and a short command then costs one allocation.
+	var buf [96]byte
+	b := append(buf[:0], '#')
+	b = strconv.AppendInt(b, int64(c.Seq), 10)
+	b = append(b, ' ')
+	b = append(b, c.Device...)
+	b = append(b, '.')
+	b = append(b, c.Action...)
 	switch {
 	case c.Action.IsRobotMotion():
+		b = append(b, '(')
 		if c.TargetName != "" {
-			s += fmt.Sprintf("(%s)", c.TargetName)
+			b = append(b, c.TargetName...)
 		} else {
-			s += fmt.Sprintf("(%v)", c.Target)
+			b = append(b, c.Target.String()...)
 		}
+		b = append(b, ')')
 		if c.InsideDevice != "" {
-			s += fmt.Sprintf(" inside=%s", c.InsideDevice)
+			b = append(b, " inside="...)
+			b = append(b, c.InsideDevice...)
 		}
 	case c.Action == SetActionValue || c.Action == StartAction ||
 		c.Action == DoseSolid || c.Action == DoseLiquid:
-		s += fmt.Sprintf("(%.3g)", c.Value)
+		b = append(b, '(')
+		b = strconv.AppendFloat(b, c.Value, 'g', 3, 64) // fmt's %.3g
+		b = append(b, ')')
 	case c.Object != "":
-		s += fmt.Sprintf("(%s)", c.Object)
+		b = append(b, '(')
+		b = append(b, c.Object...)
+		b = append(b, ')')
 	}
-	return s
+	return string(b)
 }
 
 // Validate performs basic structural validation (independent of any lab

@@ -1,6 +1,7 @@
 package action
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -149,5 +150,53 @@ func TestCommandString(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// fmtCommandString is Command.String as it was built with fmt: the
+// reference the appending renderer must match byte for byte.
+func fmtCommandString(c Command) string {
+	s := fmt.Sprintf("#%d %s.%s", c.Seq, c.Device, c.Action)
+	switch {
+	case c.Action.IsRobotMotion():
+		if c.TargetName != "" {
+			s += fmt.Sprintf("(%s)", c.TargetName)
+		} else {
+			s += fmt.Sprintf("(%v)", c.Target)
+		}
+		if c.InsideDevice != "" {
+			s += fmt.Sprintf(" inside=%s", c.InsideDevice)
+		}
+	case c.Action == SetActionValue || c.Action == StartAction ||
+		c.Action == DoseSolid || c.Action == DoseLiquid:
+		s += fmt.Sprintf("(%.3g)", c.Value)
+	case c.Object != "":
+		s += fmt.Sprintf("(%s)", c.Object)
+	}
+	return s
+}
+
+func TestCommandStringMatchesFmt(t *testing.T) {
+	values := []float64{0, math.Copysign(0, -1), 1, -1, 120, 0.5, 1234.5678, -0.000123456,
+		1e21, 1e-7, 999.5, math.MaxFloat64, math.SmallestNonzeroFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN()}
+	labels := []Label{SetActionValue, StartAction, DoseSolid, DoseLiquid, StopAction, ReadStatus,
+		OpenDoor, PickObject, PlaceObject, MoveRobot, MoveRobotInside, MoveHome, MoveSleep, OpenGripper}
+	var cmds []Command
+	for i, l := range labels {
+		for j, v := range values {
+			cmds = append(cmds,
+				Command{Seq: i*100 + j - 3, Device: "dev", Action: l, Value: v},
+				Command{Seq: j, Device: "", Action: l, Value: v, Object: "vial_1"},
+				Command{Seq: 7, Device: "viperx", Action: l, Target: geom.V(v, -0.0104, 0.2925), InsideDevice: "dd"},
+				Command{Seq: 8, Device: "ur3e", Action: l, TargetName: "grid_NW", Object: "vial_2"},
+			)
+		}
+	}
+	cmds = append(cmds, Command{Seq: math.MaxInt, Device: strings.Repeat("d", 200), Action: DoseLiquid, Value: 2.5})
+	for _, c := range cmds {
+		if got, want := c.String(), fmtCommandString(c); got != want {
+			t.Errorf("String() = %q, fmt rendering %q", got, want)
+		}
 	}
 }

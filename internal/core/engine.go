@@ -593,10 +593,7 @@ func (e *Engine) beforeGlobal(cmd action.Command, start time.Time, fs **Alert) e
 	// 1% of a check: before.validate runs from Before's entry (it covers
 	// normalization + rule evaluation) and its end stamp doubles as
 	// before.trajectory's start. Trace spans reuse the same stamps.
-	traceID := ""
-	if tctx.Valid() {
-		traceID = tctx.Trace.String()
-	}
+	traceID := tctx.Trace // zero when untraced: no exemplar
 	e.stateMu.RLock()
 	vs := e.rb.ValidateObserved(e.model, cmd, e.ruleMetrics, traceID)
 	if act != nil {
@@ -694,10 +691,7 @@ func (e *Engine) afterGlobal(cmd action.Command, start time.Time, fs **Alert) er
 		}
 	}
 	tctx := e.traceOf(cmd, act)
-	traceID := ""
-	if tctx.Valid() {
-		traceID = tctx.Trace.String()
-	}
+	traceID := tctx.Trace // zero when untraced: no exemplar
 	// after.fetch runs from After's entry through state acquisition; its
 	// end stamp doubles as after.compare's start (see Before).
 	observed := e.env.FetchState()

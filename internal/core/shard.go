@@ -195,10 +195,7 @@ func (e *Engine) beforeSharded(cmd action.Command, start time.Time, fs **Alert) 
 	}
 	t.rec = e.beginRecord(cmd, recorder.PathSharded)
 	t.tctx = e.traceOf(cmd, t.rec)
-	traceID := ""
-	if t.tctx.Valid() {
-		traceID = t.tctx.Trace.String()
-	}
+	traceID := t.tctx.Trace // zero when untraced: no exemplar
 	e.stateMu.RLock()
 	vs := e.rb.ValidateObserved(e.model, cmd, e.ruleMetrics, traceID)
 	if len(vs) == 0 {
@@ -243,10 +240,7 @@ func (e *Engine) afterSharded(cmd action.Command, start time.Time, fs **Alert) e
 		return fmt.Errorf("%w: %s", ErrStopped, stopped.Error())
 	}
 	e.cCommands.Inc()
-	traceID := ""
-	if t.tctx.Valid() {
-		traceID = t.tctx.Trace.String()
-	}
+	traceID := t.tctx.Trace // zero when untraced: no exemplar
 	observed := e.fetchScoped(t)
 	fetchEnd := time.Now()
 	fd := fetchEnd.Sub(start)

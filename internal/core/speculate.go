@@ -159,7 +159,7 @@ func (e *Engine) Hint(cur, next action.Command) {
 		if spec != nil {
 			corr = spec.R.Corr
 			if tctx.Valid() {
-				spec.R.Trace = tctx.Trace.String()
+				spec.R.SetTrace(tctx.Trace)
 			}
 		}
 		useTraced := sspan != nil && e.tracedSpec != nil

@@ -73,7 +73,7 @@ func (e *Engine) traceOf(cmd action.Command, a *recorder.Active) otrace.SpanCont
 	}
 	ctx := e.tracer.Bound(cmd.Device, cmd.Seq)
 	if a != nil && ctx.Valid() {
-		a.R.Trace = ctx.Trace.String()
+		a.R.SetTrace(ctx.Trace)
 	}
 	return ctx
 }

@@ -32,6 +32,16 @@ import (
 // them before any check or execution.
 var ErrDraining = rabit.ErrDraining
 
+// ErrTenantFailed is returned (and served as 500) once a tenant has
+// panicked. A panic beneath a session — in the engine, a custom rule, or
+// the spec compile — is recovered at the session boundary: the command
+// in flight gets an error verdict (never ok), the panic is counted in
+// rabit_gateway_panics_total{tenant=…}, and the tenant is marked
+// failed, because the panicking check may have left the engine's locks
+// held. Every later batch or session on that lab gets this error; the
+// gateway's other tenants keep serving.
+var ErrTenantFailed = errors.New("gateway: tenant failed")
+
 // Defaults.
 const (
 	// DefaultQueueDepth is the per-tenant admission bound: how many
@@ -85,6 +95,11 @@ type tenant struct {
 	sem      chan struct{}
 	sessions int
 	lastUsed time.Time
+	// failed holds the error every request on this lab gets once a
+	// panic beneath one of its sessions was recovered (nil while
+	// healthy). A failed tenant is never reused, drained or closed: its
+	// engine's locks may still be held.
+	failed atomic.Pointer[error]
 
 	// Cached per-tenant instruments (ISSUE 10): the RED set plus
 	// admission-queue depth, rejections, and active sessions, all
@@ -111,7 +126,8 @@ type session struct {
 	// the same session. seq mirrors the interceptor's per-command
 	// sequence (one increment per Do), giving each streamed verdict the
 	// same seq its trace record carries; it is written under mu and read
-	// lock-free as the session's command count.
+	// lock-free as the session's command count. (A command refused
+	// because the tenant had already failed also takes a seq.)
 	mu     sync.Mutex
 	seq    atomic.Int64
 	closed atomic.Bool
@@ -132,6 +148,7 @@ type Gateway struct {
 	famDur      *obs.Family
 	famQueue    *obs.Family
 	famSessions *obs.Family
+	famPanics   *obs.Family
 	cSlowAborts *obs.Counter
 
 	mu       sync.Mutex
@@ -182,6 +199,7 @@ func New(opts Options) *Gateway {
 	g.famDur = g.reg.HistogramFamily(obs.FamilyGatewayRequest, obs.LabelTenant)
 	g.famQueue = g.reg.GaugeFamily(obs.FamilyGatewayQueueDepth, obs.LabelTenant)
 	g.famSessions = g.reg.GaugeFamily(obs.FamilyGatewaySessions, obs.LabelTenant)
+	g.famPanics = g.reg.CounterFamily(obs.FamilyGatewayPanics, obs.LabelTenant)
 	g.cSlowAborts = g.reg.Counter(obs.CounterGatewaySlowClientAborts)
 	g.health = g.group.RegisterHealth("gateway", func() obs.Health {
 		if g.draining.Load() {
@@ -244,6 +262,9 @@ func (g *Gateway) tenantFor(spec *config.LabSpec) (*tenant, error) {
 		return nil, ErrDraining
 	}
 	if t, ok := g.tenants[spec.Lab]; ok {
+		if err := t.err(); err != nil {
+			return nil, err
+		}
 		return t, nil
 	}
 	if len(g.tenants) >= g.opts.MaxTenants {
@@ -280,16 +301,45 @@ func (g *Gateway) tenantFor(spec *config.LabSpec) (*tenant, error) {
 	return t, nil
 }
 
+// err returns the tenant's failure, or nil while it is healthy.
+func (t *tenant) err() error {
+	if e := t.failed.Load(); e != nil {
+		return *e
+	}
+	return nil
+}
+
+// recovered turns a panic recovered beneath lab's session boundary into
+// the request's error: it counts the panic, marks the tenant failed (t
+// may be nil when the panic came before the tenant existed) and returns
+// an error wrapping ErrTenantFailed.
+func (g *Gateway) recovered(lab string, t *tenant, r any) error {
+	g.famPanics.Counter(lab).Inc()
+	err := fmt.Errorf("%w: lab %s panicked: %v", ErrTenantFailed, lab, r)
+	if t != nil {
+		t.failed.CompareAndSwap(nil, &err)
+	}
+	return err
+}
+
 // CreateSession binds a new session to the lab's tenant and returns its
-// ID. raw, when non-empty, is an inline lab-spec JSON document.
-func (g *Gateway) CreateSession(lab string, raw []byte) (string, string, error) {
+// ID. raw, when non-empty, is an inline lab-spec JSON document. A panic
+// while the spec compiles or the tenant builds fails the request with
+// ErrTenantFailed instead of the process.
+func (g *Gateway) CreateSession(lab string, raw []byte) (_, _ string, err error) {
 	if g.draining.Load() {
 		return "", "", ErrDraining
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = g.recovered(lab, nil, r)
+		}
+	}()
 	spec, err := resolveSpec(lab, raw)
 	if err != nil {
 		return "", "", err
 	}
+	lab = spec.Lab
 	t, err := g.tenantFor(spec)
 	if err != nil {
 		return "", "", err
@@ -381,7 +431,9 @@ func (g *Gateway) Drain() {
 		}
 		g.mu.Unlock()
 		for _, t := range tenants {
-			t.sys.Drain()
+			if t.err() == nil {
+				t.sys.Drain()
+			}
 		}
 	})
 }
@@ -403,6 +455,9 @@ func (g *Gateway) Close() error {
 	g.health.Unregister()
 	var errs []error
 	for _, t := range tenants {
+		if t.err() != nil {
+			continue // its engine's locks may be held; see ErrTenantFailed
+		}
 		if err := t.sys.Close(); err != nil {
 			errs = append(errs, fmt.Errorf("gateway: tenant %s: %w", t.lab, err))
 		}
@@ -426,7 +481,7 @@ func (g *Gateway) janitor() {
 		var evict []*tenant
 		g.mu.Lock()
 		for lab, t := range g.tenants {
-			if t.sessions == 0 && time.Since(t.lastUsed) >= g.opts.IdleTimeout {
+			if t.sessions == 0 && time.Since(t.lastUsed) >= g.opts.IdleTimeout && t.err() == nil {
 				delete(g.tenants, lab)
 				evict = append(evict, t)
 			}
@@ -454,7 +509,9 @@ func (g *Gateway) Tenants() []TenantStatus {
 	for _, r := range rows {
 		t := r.t
 		st := TenantStatus{Lab: t.lab, Sessions: r.sessions, Ready: true}
-		if t.sys.Engine != nil {
+		if err := t.err(); err != nil {
+			st.Failed, st.Ready = err.Error(), false
+		} else if t.sys.Engine != nil {
 			st.Alerts = len(t.sys.Engine.Alerts())
 			if a := t.sys.Engine.Stopped(); a != nil {
 				st.Stopped = a.Kind.Slug()

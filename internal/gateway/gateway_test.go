@@ -92,15 +92,25 @@ func tryCreateSession(t *testing.T, srv *httptest.Server, req CreateSessionReque
 // stream. Non-200 responses return the status with no results.
 func postBatch(t *testing.T, srv *httptest.Server, session string, cmds []action.Command) ([]CommandResult, int) {
 	t.Helper()
+	out, status, err := sendBatch(srv, session, cmds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, status
+}
+
+// sendBatch is postBatch for goroutines other than the test's own: it
+// returns transport and decoding failures instead of failing the test.
+func sendBatch(srv *httptest.Server, session string, cmds []action.Command) ([]CommandResult, int, error) {
 	raw, _ := json.Marshal(CommandBatch{Commands: cmds})
 	resp, err := http.Post(srv.URL+"/v1/sessions/"+session+"/commands",
 		"application/json", bytes.NewReader(raw))
 	if err != nil {
-		t.Fatal(err)
+		return nil, 0, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, resp.StatusCode
+		return nil, resp.StatusCode, nil
 	}
 	var out []CommandResult
 	sc := bufio.NewScanner(resp.Body)
@@ -110,14 +120,11 @@ func postBatch(t *testing.T, srv *httptest.Server, session string, cmds []action
 		}
 		var res CommandResult
 		if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+			return nil, resp.StatusCode, fmt.Errorf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
 		out = append(out, res)
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return out, resp.StatusCode
+	return out, resp.StatusCode, sc.Err()
 }
 
 // postRaw posts a raw body and returns the response status.

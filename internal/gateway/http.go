@@ -5,6 +5,8 @@ import (
 	"errors"
 	"net/http"
 	"time"
+
+	"repro/internal/action"
 )
 
 // Handler returns the gateway mux: the /v1 session API plus the
@@ -57,6 +59,9 @@ func (g *Gateway) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrDraining):
 		writeErr(w, http.StatusServiceUnavailable, err)
 		return
+	case errors.Is(err, ErrTenantFailed):
+		writeErr(w, http.StatusInternalServerError, err)
+		return
 	case err != nil:
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -95,7 +100,7 @@ func (g *Gateway) handleLabs(w http.ResponseWriter, _ *http.Request) {
 // embedded script semantics. Admission is two-staged: the gateway-wide
 // drain gate (503 once draining), then the tenant's bounded queue (429
 // + Retry-After when QueueDepth batches are already in flight on the
-// lab).
+// lab). A tenant that has panicked answers 500 (see ErrTenantFailed).
 func (g *Gateway) handleCommands(w http.ResponseWriter, r *http.Request) {
 	s, ok := g.lookup(r.PathValue("id"))
 	if !ok {
@@ -104,6 +109,10 @@ func (g *Gateway) handleCommands(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.closed.Load() {
 		writeErr(w, http.StatusConflict, errors.New("gateway: session closed"))
+		return
+	}
+	if err := s.tenant.err(); err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	batch, err := decodeBatch(http.MaxBytesReader(w, r.Body, maxBodyBytes))
@@ -155,15 +164,7 @@ func (g *Gateway) handleCommands(w http.ResponseWriter, r *http.Request) {
 	// starving the lab's other scripts off a full verdict buffer.
 	rc := http.NewResponseController(w)
 	for i, cmd := range batch.Commands {
-		var err error
-		if i+1 < len(batch.Commands) {
-			// The batch is the lookahead's ideal input: the next queued
-			// command is always known, so the engine can pre-validate it
-			// while this one executes.
-			err = s.ic.DoLookahead(cmd, batch.Commands[i+1])
-		} else {
-			err = s.ic.Do(cmd)
-		}
+		err := g.do(s, batch.Commands, i)
 		seq := int(s.seq.Add(1))
 		if g.opts.WriteTimeout > 0 {
 			_ = rc.SetWriteDeadline(time.Now().Add(g.opts.WriteTimeout))
@@ -181,4 +182,27 @@ func (g *Gateway) handleCommands(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+}
+
+// do runs batch[i] through the session's interceptor — with the next
+// command as its lookahead hint when there is one: the batch is the
+// lookahead's ideal input, so the engine can pre-validate it while this
+// one executes. A panic anywhere beneath the interceptor is recovered
+// here, at the session boundary, and becomes the command's error
+// verdict and the tenant's failure. Once the tenant has failed — also
+// mid-batch, by another session's panic — commands get its error
+// without reaching the engine.
+func (g *Gateway) do(s *session, batch []action.Command, i int) (err error) {
+	if err := s.tenant.err(); err != nil {
+		return err
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = g.recovered(s.tenant.lab, s.tenant, r)
+		}
+	}()
+	if i+1 < len(batch) {
+		return s.ic.DoLookahead(batch[i], batch[i+1])
+	}
+	return s.ic.Do(batch[i])
 }

@@ -168,7 +168,10 @@ type TenantStatus struct {
 	Sessions int    `json:"sessions"`
 	Alerts   int    `json:"alerts"`
 	Stopped  string `json:"stopped,omitempty"`
-	Ready    bool   `json:"ready"`
+	// Failed is the recovered panic that failed the tenant (see
+	// ErrTenantFailed).
+	Failed string `json:"failed,omitempty"`
+	Ready  bool   `json:"ready"`
 }
 
 // ErrorBody is every non-2xx JSON body.

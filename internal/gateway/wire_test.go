@@ -7,6 +7,13 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	rabit "repro"
+	"repro/internal/action"
+	"repro/internal/config"
+	"repro/internal/geom"
+	"repro/internal/labs"
+	"repro/internal/obs"
 )
 
 // commandsKeys counts the top-level keys of a JSON object that name the
@@ -80,6 +87,55 @@ func FuzzDecodeBatch(f *testing.F) {
 			// second array into the first's elements; decodeBatch keeps
 			// only the last array, so only single-key batches compare.)
 			t.Fatalf("decodeBatch %+v, json.Decoder %+v", got, want)
+		}
+	})
+}
+
+// FuzzCompileInlineSpec drives attacker-controlled inline lab specs
+// through what session creation runs on them: the gateway's spec
+// resolution (config.Parse), then a tenant build with the Extended
+// Simulator (compile, environment, rulebase, engine), then one cold arm
+// move per arm so the simulator builds its deck BVH and sweeps it. Each
+// step may refuse a spec but must never panic. The seed corpus — the
+// three named labs and a hotplate fleet like the benchmark's — runs
+// under plain go test.
+func FuzzCompileInlineSpec(f *testing.F) {
+	for _, spec := range []*config.LabSpec{
+		labs.TestbedSpec(), labs.HeinProductionSpec(), labs.BerlinguetteSpec(), fleetSpec("fuzz-fleet", 2),
+	} {
+		raw, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	for _, seed := range []string{
+		`{}`,
+		`{"lab":"x"}`,
+		`{"lab":"x","devices":[{"id":"d","type":"action_device"}]}`,
+		`{"lab":"x","devices":[{"id":"d","cuboid":{"min":{"x":1},"max":{"x":-1}}}]}`,
+		`{"lab":"x","unknown":1}`,
+		`null`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		spec, err := resolveSpec("", raw)
+		if err != nil {
+			return
+		}
+		sys, err := rabit.New(spec, rabit.Options{ExtendedSimulator: true, ObsGroup: obs.NewGroup()})
+		if err != nil {
+			return
+		}
+		defer sys.Close()
+		for _, arm := range sys.Lab.ArmIDs() {
+			tcp, err := sys.Simulator.ArmTCP(arm)
+			if err != nil {
+				continue
+			}
+			cmd := action.Command{Device: arm, Action: action.MoveRobot, Target: tcp.Add(geom.V(0.01, 0, 0))}
+			_ = sys.Simulator.ValidTrajectory(cmd, sys.Engine.Model())
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -76,7 +77,7 @@ func TestFamilyReset(t *testing.T) {
 	c := fires.Counter("r1")
 	h := lat.Histogram("r1")
 	c.Inc()
-	h.ObserveExemplar(3*time.Microsecond, "trace-1")
+	h.ObserveExemplar(3*time.Microsecond, [16]byte{1})
 
 	fires.Reset()
 	lat.Reset()
@@ -99,12 +100,12 @@ func TestFamilyReset(t *testing.T) {
 func TestHistogramExemplars(t *testing.T) {
 	h := NewHistogram()
 	// 3µs lands in the ≤5µs bucket (dense index 2); 2s lands at index 19.
-	h.ObserveExemplar(3*time.Microsecond, "aaa111")
-	h.ObserveExemplar(2*time.Second, "bbb222")
+	h.ObserveExemplar(3*time.Microsecond, [16]byte{0xaa, 0xa1, 0x11})
+	h.ObserveExemplar(2*time.Second, [16]byte{0xbb, 0xb2, 0x22})
 	// A later traced observation in the same bucket replaces the first.
-	h.ObserveExemplar(4*time.Microsecond, "ccc333")
-	// Empty trace ID observes without publishing an exemplar.
-	h.ObserveExemplar(10*time.Hour, "")
+	h.ObserveExemplar(4*time.Microsecond, [16]byte{0xcc, 0xc3, 0x33})
+	// The zero trace ID observes without publishing an exemplar.
+	h.ObserveExemplar(10*time.Hour, [16]byte{})
 
 	if h.Count() != 4 {
 		t.Fatalf("count = %d, want 4", h.Count())
@@ -117,10 +118,11 @@ func TestHistogramExemplars(t *testing.T) {
 	for _, ex := range s.Exemplars {
 		byBucket[ex.Bucket] = ex
 	}
-	if ex := byBucket[2]; ex.TraceID != "ccc333" || ex.ValueNS != 4000 {
-		t.Fatalf("µs bucket exemplar = %+v, want ccc333/4000ns", ex)
+	// Snapshots render the raw ID as 32 lowercase hex chars.
+	if ex := byBucket[2]; ex.TraceID != "ccc333"+strings.Repeat("0", 26) || ex.ValueNS != 4000 {
+		t.Fatalf("µs bucket exemplar = %+v, want ccc333…/4000ns", ex)
 	}
-	if ex := byBucket[19]; ex.TraceID != "bbb222" || ex.ValueNS != (2*time.Second).Nanoseconds() {
+	if ex := byBucket[19]; ex.TraceID != "bbb222"+strings.Repeat("0", 26) || ex.ValueNS != (2*time.Second).Nanoseconds() {
 		t.Fatalf("2s bucket exemplar = %+v", ex)
 	}
 	// The overflow observation must not have minted an exemplar (its
@@ -130,5 +132,17 @@ func TestHistogramExemplars(t *testing.T) {
 	}
 
 	var nilH *Histogram
-	nilH.ObserveExemplar(time.Second, "zzz") // must not panic
+	nilH.ObserveExemplar(time.Second, [16]byte{9}) // must not panic
+}
+
+// ObserveExemplar runs on every stage of every traced command, so it
+// must not allocate: the ID is stored in the bucket's slot in place.
+func TestObserveExemplarAllocs(t *testing.T) {
+	h := NewHistogram()
+	id := [16]byte{0x0a, 0xf7, 0x65, 0x19}
+	if n := testing.AllocsPerRun(1000, func() {
+		h.ObserveExemplar(3*time.Microsecond, id)
+	}); n != 0 {
+		t.Fatalf("ObserveExemplar allocates %.1f times per call, want 0", n)
+	}
 }

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/hex"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -45,16 +47,20 @@ type Histogram struct {
 	sum     atomic.Int64 // nanoseconds
 	max     atomic.Int64 // nanoseconds
 	// exemplars holds the most recent trace-carrying observation per
-	// bucket (nil until one lands) — the metric→trace links the
-	// OpenMetrics exposition emits. Stored as pointers so an update is a
-	// single atomic publish.
-	exemplars [numBuckets]atomic.Pointer[Exemplar]
+	// bucket — the metric→trace links the OpenMetrics exposition emits.
+	// Each slot stores the raw 16-byte trace ID in place, so publishing
+	// one allocates nothing; hex is rendered only at snapshot time.
+	exemplars [numBuckets]exemplarSlot
 }
 
-// Exemplar pairs one observation with the trace that produced it.
-type Exemplar struct {
-	TraceID string
-	ValueNS int64
+// exemplarSlot is one bucket's most recent traced observation (a zero
+// trace ID marks an empty slot). The ID and value are published
+// together under mu, so a snapshot never pairs one observation's ID
+// with another's value.
+type exemplarSlot struct {
+	mu      sync.Mutex
+	traceID [16]byte
+	valueNS int64
 }
 
 // NewHistogram builds an empty histogram.
@@ -95,16 +101,21 @@ func (h *Histogram) Observe(d time.Duration) {
 // ObserveExemplar records one duration and, when a trace ID is known,
 // publishes it as the observation's bucket exemplar — a latency spike
 // on /metrics/prom then links to the causal trace that produced it.
-// With an empty trace ID it is exactly Observe. Nil-safe.
-func (h *Histogram) ObserveExemplar(d time.Duration, traceID string) {
+// The ID is the raw 128-bit trace ID (an otrace.TraceID converts
+// implicitly); with the all-zero ID it is exactly Observe. It never
+// allocates. Nil-safe.
+func (h *Histogram) ObserveExemplar(d time.Duration, traceID [16]byte) {
 	h.Observe(d)
-	if h == nil || traceID == "" {
+	if h == nil || traceID == ([16]byte{}) {
 		return
 	}
 	if d < 0 {
 		d = 0
 	}
-	h.exemplars[bucketIndex(d)].Store(&Exemplar{TraceID: traceID, ValueNS: d.Nanoseconds()})
+	slot := &h.exemplars[bucketIndex(d)]
+	slot.mu.Lock()
+	slot.traceID, slot.valueNS = traceID, d.Nanoseconds()
+	slot.mu.Unlock()
 }
 
 // Count returns how many observations were recorded. Nil-safe (0).
@@ -210,7 +221,10 @@ func (h *Histogram) Reset() {
 		h.buckets[i].Store(0)
 	}
 	for i := range h.exemplars {
-		h.exemplars[i].Store(nil)
+		slot := &h.exemplars[i]
+		slot.mu.Lock()
+		slot.traceID = [16]byte{}
+		slot.mu.Unlock()
 	}
 	h.count.Store(0)
 	h.sum.Store(0)
@@ -277,6 +291,8 @@ type HistogramSnapshot struct {
 }
 
 // ExemplarSnapshot is one bucket's most recent traced observation.
+// TraceID is the 32-char lowercase hex form, rendered from the stored
+// raw ID when the snapshot is taken.
 type ExemplarSnapshot struct {
 	Bucket  int    `json:"bucket"`
 	TraceID string `json:"trace_id"`
@@ -312,8 +328,12 @@ func (h *Histogram) snapshot(name string) HistogramSnapshot {
 		s.CumCounts = h.CumulativeCounts()
 	}
 	for i := 0; i < numBuckets; i++ {
-		if ex := h.exemplars[i].Load(); ex != nil {
-			s.Exemplars = append(s.Exemplars, ExemplarSnapshot{Bucket: i, TraceID: ex.TraceID, ValueNS: ex.ValueNS})
+		slot := &h.exemplars[i]
+		slot.mu.Lock()
+		id, v := slot.traceID, slot.valueNS
+		slot.mu.Unlock()
+		if id != ([16]byte{}) {
+			s.Exemplars = append(s.Exemplars, ExemplarSnapshot{Bucket: i, TraceID: hex.EncodeToString(id[:]), ValueNS: v})
 		}
 	}
 	return s

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/hex"
 	"strings"
 	"testing"
 	"time"
@@ -18,12 +19,23 @@ func buildOMSnapshot(t *testing.T) Snapshot {
 	evals.Counter("general-1").Add(41)
 	evals.Counter("hein-2").Add(12)
 	lat := r.HistogramFamily(FamilyRuleEval, LabelRule)
-	lat.Histogram("general-1").ObserveExemplar(3*time.Microsecond, "0af7651916cd43dd8448eb211c80319c")
+	lat.Histogram("general-1").ObserveExemplar(3*time.Microsecond, rawTraceID(t, "0af7651916cd43dd8448eb211c80319c"))
 	lat.Histogram("general-1").Observe(8 * time.Microsecond)
 	margin := r.RatioHistogramFamily(FamilyRuleMargin, LabelRule)
 	// Margin ratio 0.25 stored via the ns convention (m×1e9).
 	margin.Histogram("general-1").Observe(time.Duration(0.25 * 1e9))
 	return r.Snapshot()
+}
+
+// rawTraceID decodes a 32-char hex trace ID into the raw form
+// ObserveExemplar takes.
+func rawTraceID(t *testing.T, s string) [16]byte {
+	t.Helper()
+	var id [16]byte
+	if n, err := hex.Decode(id[:], []byte(s)); err != nil || n != len(id) {
+		t.Fatalf("bad trace ID %q: %v", s, err)
+	}
+	return id
 }
 
 func TestWriteOpenMetricsExposition(t *testing.T) {
@@ -76,13 +88,14 @@ func TestWriteOpenMetricsExposition(t *testing.T) {
 }
 
 // Hostile, tenant-authored rule IDs must escape into legal label values
-// and survive the validator's unescape round trip.
+// and survive the validator's unescape round trip. The exemplar's trace
+// ID carries the same hostile bytes raw; it renders as hex.
 func TestWriteOpenMetricsHostileLabels(t *testing.T) {
 	hostile := "rule \"A\"\\east\nwing"
 	r := NewRegistry("lab \"A\"\\east\nwing")
 	r.CounterFamily(FamilyRuleFires, LabelRule).Counter(hostile).Inc()
 	r.HistogramFamily(FamilyRuleEval, LabelRule).Histogram(hostile).
-		ObserveExemplar(time.Microsecond, "trace\"with\\hostile\nbytes")
+		ObserveExemplar(time.Microsecond, [16]byte{'"', '\\', '\n', 'w', 'i', 'n', 'g'})
 
 	var sb strings.Builder
 	WriteOpenMetrics(&sb, []Snapshot{r.Snapshot()}, nil)
@@ -96,6 +109,9 @@ func TestWriteOpenMetricsHostileLabels(t *testing.T) {
 	}
 	if strings.Contains(text, "\nwing") {
 		t.Errorf("raw newline leaked into the exposition:\n%s", text)
+	}
+	if !strings.Contains(text, `# {trace_id="225c0a77696e67000000000000000000"} 1e-06`) {
+		t.Errorf("exposition missing the hex-rendered exemplar\n%s", text)
 	}
 }
 

@@ -104,6 +104,7 @@ var helpText = map[string]string{
 	"rabit_gateway_request_seconds":          "Gateway request duration by lab tenant.",
 	"rabit_gateway_queue_depth":              "Admission-queue slots in use by lab tenant.",
 	"rabit_gateway_rejections_total":         "Admission rejections (backpressure 429s) by lab tenant.",
+	"rabit_gateway_panics_total":             "Panics recovered at a lab tenant's session boundary; each fails the tenant.",
 	"rabit_gateway_sessions":                 "Active sessions by lab tenant.",
 	"rabit_gateway_slow_client_aborts_total": "Verdict streams aborted by the slow-client write deadline.",
 	"rabit_campaign_total":                   "Campaign scenarios planned.",

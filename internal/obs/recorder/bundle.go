@@ -62,6 +62,7 @@ func (r *Recorder) writeBundle(trigger Record) {
 		return
 	}
 	window := r.Window()
+	trigger.render()
 	man := Manifest{
 		Schema:    ManifestSchema,
 		Tag:       r.tag,

@@ -1,8 +1,9 @@
 package recorder
 
 import (
-	"fmt"
+	"encoding/hex"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/action"
@@ -91,7 +92,7 @@ type Record struct {
 	Seq    int    `json:"seq,omitempty"`
 	Device string `json:"device,omitempty"`
 	Action string `json:"action,omitempty"`
-	// Cmd is the rendered command. Rendering costs an fmt pass per
+	// Cmd is the rendered command. Rendering costs a string per
 	// record, so live records carry the raw command (cmd below) instead
 	// and Cmd is materialized only when a window is snapshotted.
 	Cmd string `json:"cmd,omitempty"`
@@ -103,7 +104,10 @@ type Record struct {
 	// Trace is the causal trace ID (32 hex chars) of the run that
 	// produced this record — the key linking a bundle to its retained
 	// trace tree (see internal/obs/trace). Empty when tracing is off.
+	// Like Cmd, live records carry the raw ID (trace below, set with
+	// SetTrace) and Trace is rendered only when a window is snapshotted.
 	Trace string `json:"trace_id,omitempty"`
+	trace [16]byte
 
 	// Rules are the rule IDs the validation stage evaluated for this
 	// command (its label bucket filtered to matching devices).
@@ -136,17 +140,35 @@ type Record struct {
 	Mismatches []string `json:"mismatches,omitempty"`
 }
 
-// render materializes Cmd from the stored raw command. Only called on
-// snapshot copies — live ring slots keep the cheap unrendered form.
+// SetTrace stamps the record with its causal trace ID. The hex form
+// (Trace) is rendered only on snapshot, like Cmd.
+func (rec *Record) SetTrace(id [16]byte) { rec.trace = id }
+
+// render materializes Cmd and Trace from the stored raw command and
+// trace ID. Only called on snapshot copies — live ring slots keep the
+// cheap unrendered form.
 func (rec *Record) render() {
 	if rec.Cmd == "" && rec.hasCmd {
 		rec.Cmd = rec.cmd.String()
 	}
+	if rec.Trace == "" && rec.trace != ([16]byte{}) {
+		rec.Trace = hex.EncodeToString(rec.trace[:])
+	}
 }
 
-// corrID renders a correlation ID.
+// corrID renders a correlation ID: prefix, '-', n zero-padded to six
+// digits ("%s-%06d"), appended in place because every command opens one.
 func corrID(prefix string, n uint64) string {
-	return fmt.Sprintf("%s-%06d", prefix, n)
+	var buf [32]byte
+	b := append(buf[:0], prefix...)
+	b = append(b, '-')
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], n, 10)
+	for i := len(d); i < 6; i++ {
+		b = append(b, '0')
+	}
+	b = append(b, d...)
+	return string(b)
 }
 
 // sortRecords orders a window by global insertion order.

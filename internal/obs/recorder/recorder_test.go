@@ -1,6 +1,8 @@
 package recorder
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -235,5 +237,17 @@ func TestWriteErrorRetainedNotFatal(t *testing.T) {
 	// The ring still recorded the trigger.
 	if len(r.Window()) != 1 {
 		t.Fatal("trigger missing from ring after failed bundle write")
+	}
+}
+
+// corrID renders correlation IDs without fmt; it must match the
+// "%s-%06d" rendering it replaced.
+func TestCorrIDMatchesFmt(t *testing.T) {
+	for _, n := range []uint64{0, 1, 42, 99999, 999999, 1000000, 123456789, math.MaxUint64} {
+		for _, prefix := range []string{"c", "s", ""} {
+			if got, want := corrID(prefix, n), fmt.Sprintf("%s-%06d", prefix, n); got != want {
+				t.Errorf("corrID(%q, %d) = %q, want %q", prefix, n, got, want)
+			}
+		}
 	}
 }

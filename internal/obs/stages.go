@@ -163,6 +163,9 @@ const (
 	FamilyGatewayRejections = "gateway.rejections"
 	// FamilyGatewaySessions gauges active sessions per tenant.
 	FamilyGatewaySessions = "gateway.sessions"
+	// FamilyGatewayPanics counts panics recovered at a tenant's session
+	// boundary (each one fails the tenant).
+	FamilyGatewayPanics = "gateway.panics"
 	// CounterGatewaySlowClientAborts counts verdict streams severed by
 	// the slow-client write deadline.
 	CounterGatewaySlowClientAborts = "gateway.slow_client_aborts"

@@ -95,9 +95,12 @@ func TestCorpusShape(t *testing.T) {
 		if len(r.Records) == 0 {
 			t.Errorf("run %s is empty", r.Name)
 		}
-		for _, rec := range r.Records {
+		for i, rec := range r.Records {
 			if rec.Outcome != "ok" {
 				t.Errorf("run %s contains a non-ok record: %+v", r.Name, rec)
+			}
+			if rec.Seq != i+1 { // the whole run, from its first command
+				t.Errorf("run %s record %d has seq %d", r.Name, i, rec.Seq)
 			}
 		}
 		total += len(r.Records)

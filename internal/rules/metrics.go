@@ -85,15 +85,16 @@ func (m *RuleMetrics) Reset() {
 // rule consulted it counts the evaluation, times it (stage boundaries
 // chain clock reads, one per rule), counts a fire when the rule
 // violates, and histograms the near-miss margin when the rule passes
-// and exposes one. A non-empty traceID is published as the latency
-// bucket's exemplar, linking the metric to the causal trace. With a nil
+// and exposes one. A nonzero traceID (the raw 128-bit causal trace ID)
+// is published as the latency bucket's exemplar, linking the metric to
+// the causal trace. With a nil
 // RuleMetrics it is exactly Validate.
 //
 // "Evaluated" means consulted: a rule whose AppliesTo rejects the
 // command still counts an evaluation (its latency is the cost of
 // deciding non-applicability), so fires/evals is a true fire rate over
 // everything the rule was shown.
-func (rb *Rulebase) ValidateObserved(s state.View, cmd action.Command, m *RuleMetrics, traceID string) []Violation {
+func (rb *Rulebase) ValidateObserved(s state.View, cmd action.Command, m *RuleMetrics, traceID [16]byte) []Violation {
 	if m == nil {
 		return rb.Validate(s, cmd)
 	}
@@ -115,11 +116,7 @@ func (rb *Rulebase) ValidateObserved(s state.View, cmd action.Command, m *RuleMe
 		prev = now
 		ri := &m.perRule[r.index]
 		ri.evals.Inc()
-		if traceID != "" {
-			ri.lat.ObserveExemplar(d, traceID)
-		} else {
-			ri.lat.Observe(d)
-		}
+		ri.lat.ObserveExemplar(d, traceID)
 		if v != nil {
 			ri.fires.Inc()
 			out = append(out, *v)

@@ -23,12 +23,18 @@ import (
 // "deviceDoorStatus[dosing_device]" or "robotArmInside[viperx][dosing_device]".
 type Key string
 
-// MakeKey builds a key from a variable name and its qualifiers.
+// MakeKey builds a key from a variable name and its qualifiers, in one
+// allocation: the builder is sized up front for the bracketed args.
 func MakeKey(variable string, args ...string) Key {
 	if len(args) == 0 {
 		return Key(variable)
 	}
+	n := len(variable)
+	for _, a := range args {
+		n += len(a) + 2
+	}
 	var b strings.Builder
+	b.Grow(n)
 	b.WriteString(variable)
 	for _, a := range args {
 		b.WriteByte('[')

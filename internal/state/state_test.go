@@ -1,9 +1,61 @@
 package state
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// growingMakeKey is MakeKey as it was before the builder was presized:
+// the reference the one-allocation version must match byte for byte.
+func growingMakeKey(variable string, args ...string) Key {
+	if len(args) == 0 {
+		return Key(variable)
+	}
+	var b strings.Builder
+	b.WriteString(variable)
+	for _, a := range args {
+		b.WriteByte('[')
+		b.WriteString(a)
+		b.WriteByte(']')
+	}
+	return Key(b.String())
+}
+
+// MakeKey runs for every state key a check touches; it must build a key
+// in at most one allocation (none without qualifiers) and produce the
+// same bytes as the growing builder it replaced.
+func TestMakeKeyOneAllocation(t *testing.T) {
+	long := strings.Repeat("x", 40)
+	cases := []struct {
+		variable string
+		args     []string
+		allocs   float64
+	}{
+		{"systemReady", nil, 0},
+		{"deviceDoorStatus", []string{"dosing_device"}, 1},
+		{"robotArmInside", []string{"viperx", "dosing_device"}, 1},
+		{"robotArmInside", []string{long, long}, 1},
+		{"v", []string{""}, 1},
+	}
+	for _, c := range cases {
+		if got, want := MakeKey(c.variable, c.args...), growingMakeKey(c.variable, c.args...); got != want {
+			t.Errorf("MakeKey(%q, %q) = %q, want %q", c.variable, c.args, got, want)
+		}
+		var k Key
+		n := testing.AllocsPerRun(200, func() { k = MakeKey(c.variable, c.args...) })
+		if n != c.allocs {
+			t.Errorf("MakeKey(%q, %d args) makes %.1f allocations, want %.0f", c.variable, len(c.args), n, c.allocs)
+		}
+		_ = k
+	}
+	prop := func(v, a, b string) bool {
+		return MakeKey(v, a) == growingMakeKey(v, a) && MakeKey(v, a, b) == growingMakeKey(v, a, b)
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestKeyConstruction(t *testing.T) {
 	tests := []struct {

@@ -62,7 +62,7 @@ func (c *seqChecker) After(action.Command) error { return nil }
 // stop right there, wrap the checker's error (errors.Is-visible), cite
 // the offending record, and never reach the remaining commands.
 func TestReplayStopsAtFirstBlocked(t *testing.T) {
-	rec := NewInterceptor(nil, &fakeExecutor{})
+	rec := keeping(NewInterceptor(nil, &fakeExecutor{}))
 	for i := 0; i < 4; i++ {
 		if err := rec.Do(cmdOpen()); err != nil {
 			t.Fatal(err)
@@ -71,7 +71,7 @@ func TestReplayStopsAtFirstBlocked(t *testing.T) {
 
 	sentinel := errors.New("mux conflict")
 	ex := &fakeExecutor{}
-	i := NewInterceptor(&seqChecker{blockSeq: 2, err: sentinel}, ex)
+	i := keeping(NewInterceptor(&seqChecker{blockSeq: 2, err: sentinel}, ex))
 	err := Replay(i, rec.Records())
 	if err == nil {
 		t.Fatal("replay did not stop at the blocked command")
@@ -158,5 +158,91 @@ func TestDoConcurrentTelemetry(t *testing.T) {
 	}
 	if hs, _ := snap.Histogram(obs.StageIntercept); hs.Count != 1 {
 		t.Errorf("intercept spans = %d, want 1 (one per batch)", hs.Count)
+	}
+}
+
+// An interceptor keeps no records unless asked to, and keeping them
+// changes nothing it publishes: the same outcome counters (total and
+// per device) and the same events, in the same order, for ok, blocked
+// and error commands on the single and concurrent paths.
+func TestKeepRecordsOptIn(t *testing.T) {
+	run := func(keep bool) (*Interceptor, obs.Snapshot, []obs.Event) {
+		reg := obs.NewRegistry("interceptor")
+		mem := &obs.MemorySink{}
+		reg.SetSink(mem)
+		ch := &seqChecker{blockSeq: 3, err: errors.New("unsafe")}
+		ex := &fakeExecutor{}
+		i := NewInterceptor(ch, ex)
+		i.SetKeepRecords(keep)
+		i.SetObserver(reg)
+		for k := 0; k < 4; k++ {
+			_ = i.Do(cmdOpen())
+		}
+		_ = i.Do(action.Command{Action: action.MoveRobot}) // invalid: no device
+		_ = i.DoConcurrent([]action.Command{
+			{Device: "a1", Action: action.MoveRobot, Target: geom.V(0.1, 0, 0.2)},
+			{Device: "a2", Action: action.MoveRobot, Target: geom.V(0.3, 0, 0.2)},
+		})
+		ex.err = errors.New("jammed")
+		_ = i.Do(cmdOpen())
+		evs := mem.Events()
+		for k := range evs {
+			evs[k].DurNS = 0 // wall-clock span, differs run to run
+		}
+		return i, reg.Snapshot(), evs
+	}
+	off, offSnap, offEvs := run(false)
+	on, onSnap, onEvs := run(true)
+
+	if n := len(off.Records()); n != 0 {
+		t.Fatalf("default interceptor kept %d records, want none", n)
+	}
+	if n := len(on.Records()); n != 8 {
+		t.Fatalf("keeping interceptor kept %d records, want 8", n)
+	}
+	if len(offEvs) != 8 {
+		t.Fatalf("want 8 command events, got %d", len(offEvs))
+	}
+	for k := range onEvs {
+		if onEvs[k] != offEvs[k] {
+			t.Errorf("event %d: keep on %+v, keep off %+v", k, onEvs[k], offEvs[k])
+		}
+	}
+	for _, name := range []string{
+		obs.PrefixOutcome + "ok", obs.PrefixOutcome + "blocked", obs.PrefixOutcome + "error",
+		obs.PrefixDevice + "dd.ok", obs.PrefixDevice + "dd.blocked", obs.PrefixDevice + "dd.error",
+		obs.PrefixDevice + "a1.ok", obs.PrefixDevice + "a2.ok",
+	} {
+		if a, b := offSnap.Counter(name), onSnap.Counter(name); a != b || a == 0 {
+			t.Errorf("%s: keep off %d, keep on %d (want equal, nonzero)", name, a, b)
+		}
+	}
+	if len(offSnap.Counters) != len(onSnap.Counters) {
+		t.Errorf("keep off published %d counters, keep on %d", len(offSnap.Counters), len(onSnap.Counters))
+	}
+}
+
+// Cached outcome counters survive a registry reset: the reset zeroes
+// them in place, and the next command counts from zero.
+func TestOutcomeCountersSurviveReset(t *testing.T) {
+	reg := obs.NewRegistry("interceptor")
+	i := NewInterceptor(&fakeChecker{}, &fakeExecutor{})
+	i.SetObserver(reg)
+	for k := 0; k < 3; k++ {
+		if err := i.Do(cmdOpen()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg.Reset()
+	reg.ResetPrefix(obs.PrefixDevice)
+	if err := i.Do(cmdOpen()); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counter(obs.PrefixOutcome + "ok"); got != 1 {
+		t.Errorf("outcome.ok after reset = %d, want 1", got)
+	}
+	if got := snap.Counter(obs.PrefixDevice + "dd.ok"); got != 1 {
+		t.Errorf("device.dd.ok after reset = %d, want 1", got)
 	}
 }

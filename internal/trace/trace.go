@@ -2,9 +2,9 @@
 // framework the paper reconfigures (Section II-C): every device command an
 // experiment script issues flows through an Interceptor, which first asks
 // a checker (RABIT) whether the command is safe, then forwards it for
-// execution, then lets the checker inspect the post-state. The interceptor
-// also records RAD-style command traces, which the radmine package mines
-// for rules (Section II-A).
+// execution, then lets the checker inspect the post-state. On request
+// (SetKeepRecords) the interceptor also keeps RAD-style command traces,
+// which the radmine package mines for rules (Section II-A).
 package trace
 
 import (
@@ -62,14 +62,29 @@ type Interceptor struct {
 	checker  Checker
 	executor Executor
 	seq      int
-	records  []Record
+
+	// keep selects whole-run record retention (SetKeepRecords): records
+	// then holds every command's Record for Records to return. Off, the
+	// interceptor keeps nothing past the current call, so a long-lived
+	// session costs constant memory per command. call holds the current
+	// call's records (reused across calls); finish publishes them and,
+	// with keep on, appends them to records.
+	keep    bool
+	records []Record
+	call    []Record
 
 	// obs publishes per-command telemetry: the intercept and execute
 	// stage spans, outcome counters (total and per device), and one
 	// structured event per record. All nil-safe when no observer is set.
+	// counters caches each outcome counter the first time a (device,
+	// outcome) pair lands — device "" is the total — so the hot path
+	// neither builds its name nor looks it up in the registry again.
+	// Registry resets zero counters in place, so cached pointers stay
+	// valid; SetObserver drops the cache.
 	obs        *obs.Registry
 	hIntercept *obs.Histogram
 	hExecute   *obs.Histogram
+	counters   map[outcomeKey]*obs.Counter
 
 	// rec is the flight recorder (nil-safe): the interceptor back-fills
 	// each command's black-box record with its final outcome and the
@@ -101,6 +116,17 @@ func (i *Interceptor) SetObserver(reg *obs.Registry) {
 	i.obs = reg
 	i.hIntercept = reg.Histogram(obs.StageIntercept)
 	i.hExecute = reg.Histogram(obs.StageExecute)
+	i.counters = nil
+}
+
+// SetKeepRecords turns whole-run record retention on or off (default
+// off). Only a caller that reads Records — rabit.System.Trace, the
+// radmine corpus — turns it on; a gateway session or a campaign
+// scenario keeps nothing, so its memory does not grow with commands.
+func (i *Interceptor) SetKeepRecords(keep bool) {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	i.keep = keep
 }
 
 // SetRecorder attaches a flight recorder (nil detaches it); the
@@ -166,17 +192,44 @@ func (i *Interceptor) rootSpan(cmd action.Command) *otrace.Span {
 	return s
 }
 
+// outcomeKey names one cached outcome counter: device "" is the total.
+type outcomeKey struct{ device, outcome string }
+
+// outcomeCounter returns the counter for (device, outcome), resolving
+// it in the registry on first use (callers hold i.mu and have checked
+// i.obs).
+func (i *Interceptor) outcomeCounter(device, outcome string) *obs.Counter {
+	k := outcomeKey{device, outcome}
+	if c, ok := i.counters[k]; ok {
+		return c
+	}
+	name := obs.PrefixOutcome + outcome
+	if device != "" {
+		name = obs.PrefixDevice + device + "." + outcome
+	}
+	c := i.obs.Counter(name)
+	if i.counters == nil {
+		i.counters = make(map[outcomeKey]*obs.Counter)
+	}
+	i.counters[k] = c
+	return c
+}
+
 // finish closes the intercept span and publishes outcome counters and
-// events for every record appended during the call (callers hold i.mu).
-func (i *Interceptor) finish(span obs.Span, mark int) {
+// events for every record of the current call, then retains them if
+// the interceptor keeps records (callers hold i.mu).
+func (i *Interceptor) finish(span obs.Span) {
 	d := span.End()
+	if i.keep {
+		i.records = append(i.records, i.call...)
+	}
 	if i.obs == nil {
 		return
 	}
-	for _, r := range i.records[mark:] {
-		i.obs.Counter(obs.PrefixOutcome + r.Outcome).Inc()
+	for _, r := range i.call {
+		i.outcomeCounter("", r.Outcome).Inc()
 		if r.Cmd.Device != "" {
-			i.obs.Counter(obs.PrefixDevice + r.Cmd.Device + "." + r.Outcome).Inc()
+			i.outcomeCounter(r.Cmd.Device, r.Outcome).Inc()
 		}
 		i.obs.Emit(obs.Event{
 			T:       r.Time,
@@ -212,7 +265,8 @@ func (i *Interceptor) do(cmd, next action.Command, lookahead bool) (err error) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	span := i.hIntercept.Start()
-	defer i.finish(span, len(i.records))
+	i.call = i.call[:0]
+	defer i.finish(span)
 	i.seq++
 	cmd.Seq = i.seq
 	i.lastExecNS = 0
@@ -270,14 +324,15 @@ func (i *Interceptor) do(cmd, next action.Command, lookahead bool) (err error) {
 	return nil
 }
 
-// record appends a trace record and back-fills the command's black-box
-// record, if a flight recorder is attached (callers hold i.mu).
+// record appends a trace record to the current call and back-fills the
+// command's black-box record, if a flight recorder is attached (callers
+// hold i.mu).
 func (i *Interceptor) record(cmd action.Command, outcome, detail string) {
 	var now time.Duration
 	if i.executor != nil {
 		now = i.executor.Now()
 	}
-	i.records = append(i.records, Record{
+	i.call = append(i.call, Record{
 		Seq: cmd.Seq, Time: now, Cmd: cmd, Outcome: outcome, Detail: detail,
 	})
 	i.rec.Annotate(cmd.Device, cmd.Seq, outcome, i.lastExecNS)
@@ -297,7 +352,8 @@ func (i *Interceptor) DoConcurrent(cmds []action.Command) (err error) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	span := i.hIntercept.Start()
-	defer i.finish(span, len(i.records))
+	i.call = i.call[:0]
+	defer i.finish(span)
 	i.lastExecNS = 0
 	ce, ok := i.executor.(ConcurrentExecutor)
 	if !ok {
@@ -377,7 +433,9 @@ func (i *Interceptor) DoConcurrent(cmds []action.Command) (err error) {
 	return nil
 }
 
-// Records returns a copy of the trace so far.
+// Records returns a copy of the trace so far: every command since the
+// last Reset when the interceptor keeps records (SetKeepRecords), none
+// otherwise.
 func (i *Interceptor) Records() []Record {
 	i.mu.Lock()
 	defer i.mu.Unlock()

@@ -50,6 +50,13 @@ func (f *fakeExecutor) ExecuteConcurrent(cmds []action.Command) error {
 	return f.err
 }
 
+// keeping turns on whole-run record retention, which the tests that
+// read Records need (it is off by default).
+func keeping(i *Interceptor) *Interceptor {
+	i.SetKeepRecords(true)
+	return i
+}
+
 func cmdOpen() action.Command {
 	return action.Command{Device: "dd", Action: action.OpenDoor}
 }
@@ -57,7 +64,7 @@ func cmdOpen() action.Command {
 func TestDoHappyPath(t *testing.T) {
 	ch := &fakeChecker{}
 	ex := &fakeExecutor{}
-	i := NewInterceptor(ch, ex)
+	i := keeping(NewInterceptor(ch, ex))
 
 	if err := i.Do(cmdOpen()); err != nil {
 		t.Fatal(err)
@@ -74,7 +81,7 @@ func TestDoHappyPath(t *testing.T) {
 func TestDoBlockedCommandNeverExecutes(t *testing.T) {
 	ch := &fakeChecker{beforeErr: errors.New("unsafe")}
 	ex := &fakeExecutor{}
-	i := NewInterceptor(ch, ex)
+	i := keeping(NewInterceptor(ch, ex))
 
 	if err := i.Do(cmdOpen()); err == nil {
 		t.Fatal("blocked command returned nil")
@@ -91,7 +98,7 @@ func TestDoBlockedCommandNeverExecutes(t *testing.T) {
 func TestDoExecutionErrorStillRunsAfter(t *testing.T) {
 	ch := &fakeChecker{}
 	ex := &fakeExecutor{err: errors.New("collision")}
-	i := NewInterceptor(ch, ex)
+	i := keeping(NewInterceptor(ch, ex))
 
 	err := i.Do(cmdOpen())
 	if err == nil || !strings.Contains(err.Error(), "collision") {
@@ -103,7 +110,7 @@ func TestDoExecutionErrorStillRunsAfter(t *testing.T) {
 }
 
 func TestDoInvalidCommandRejectedStructurally(t *testing.T) {
-	i := NewInterceptor(nil, &fakeExecutor{})
+	i := keeping(NewInterceptor(nil, &fakeExecutor{}))
 	err := i.Do(action.Command{Action: action.MoveRobot}) // no device
 	if err == nil {
 		t.Fatal("structurally invalid command accepted")
@@ -112,7 +119,7 @@ func TestDoInvalidCommandRejectedStructurally(t *testing.T) {
 
 func TestDoWithoutChecker(t *testing.T) {
 	ex := &fakeExecutor{}
-	i := NewInterceptor(nil, ex)
+	i := keeping(NewInterceptor(nil, ex))
 	if err := i.Do(cmdOpen()); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +129,7 @@ func TestDoWithoutChecker(t *testing.T) {
 }
 
 func TestSequenceNumbersMonotonic(t *testing.T) {
-	i := NewInterceptor(nil, &fakeExecutor{})
+	i := keeping(NewInterceptor(nil, &fakeExecutor{}))
 	for k := 0; k < 5; k++ {
 		if err := i.Do(cmdOpen()); err != nil {
 			t.Fatal(err)
@@ -149,7 +156,7 @@ func TestSequenceNumbersMonotonic(t *testing.T) {
 func TestDoConcurrentChecksAllBeforeExecuting(t *testing.T) {
 	ch := &fakeChecker{}
 	ex := &fakeExecutor{}
-	i := NewInterceptor(ch, ex)
+	i := keeping(NewInterceptor(ch, ex))
 	cmds := []action.Command{
 		{Device: "a1", Action: action.MoveRobot, Target: geom.V(0.1, 0, 0.2)},
 		{Device: "a2", Action: action.MoveRobot, Target: geom.V(0.3, 0, 0.2)},
@@ -172,7 +179,7 @@ func TestDoConcurrentChecksAllBeforeExecuting(t *testing.T) {
 func TestDoConcurrentBlockedBeforeStopsBatch(t *testing.T) {
 	ch := &fakeChecker{beforeErr: errors.New("mux violation")}
 	ex := &fakeExecutor{}
-	i := NewInterceptor(ch, ex)
+	i := keeping(NewInterceptor(ch, ex))
 	cmds := []action.Command{
 		{Device: "a1", Action: action.MoveRobot, Target: geom.V(0.1, 0, 0.2)},
 		{Device: "a2", Action: action.MoveRobot, Target: geom.V(0.3, 0, 0.2)},
@@ -187,7 +194,7 @@ func TestDoConcurrentBlockedBeforeStopsBatch(t *testing.T) {
 
 func TestDoConcurrentRequiresCapableExecutor(t *testing.T) {
 	// An executor without ExecuteConcurrent cannot run batches.
-	i := NewInterceptor(nil, execOnly{})
+	i := keeping(NewInterceptor(nil, execOnly{}))
 	err := i.DoConcurrent([]action.Command{{Device: "a", Action: action.MoveRobot, Target: geom.V(0.1, 0, 0.2)}})
 	if err == nil {
 		t.Fatal("incapable executor accepted a concurrent batch")
@@ -235,7 +242,7 @@ func TestReplay(t *testing.T) {
 	// Record a short command stream, then replay it through a fresh
 	// interceptor with a blocking checker: replay stops at the first
 	// alert and reports which command tripped it.
-	rec := NewInterceptor(nil, &fakeExecutor{})
+	rec := keeping(NewInterceptor(nil, &fakeExecutor{}))
 	for i := 0; i < 3; i++ {
 		if err := rec.Do(cmdOpen()); err != nil {
 			t.Fatal(err)
@@ -243,7 +250,7 @@ func TestReplay(t *testing.T) {
 	}
 	records := rec.Records()
 
-	clean := NewInterceptor(&fakeChecker{}, &fakeExecutor{})
+	clean := keeping(NewInterceptor(&fakeChecker{}, &fakeExecutor{}))
 	if err := Replay(clean, records); err != nil {
 		t.Fatalf("clean replay failed: %v", err)
 	}
@@ -251,7 +258,7 @@ func TestReplay(t *testing.T) {
 		t.Errorf("replay recorded %d commands", len(clean.Records()))
 	}
 
-	blocking := NewInterceptor(&fakeChecker{beforeErr: errors.New("unsafe")}, &fakeExecutor{})
+	blocking := keeping(NewInterceptor(&fakeChecker{beforeErr: errors.New("unsafe")}, &fakeExecutor{}))
 	err := Replay(blocking, records)
 	if err == nil {
 		t.Fatal("blocking replay should stop")
@@ -274,7 +281,7 @@ func (h *hintChecker) Hint(cur, next action.Command) {
 func TestDoLookaheadHintsChecker(t *testing.T) {
 	ch := &hintChecker{}
 	ex := &fakeExecutor{}
-	i := NewInterceptor(ch, ex)
+	i := keeping(NewInterceptor(ch, ex))
 	cur := cmdOpen()
 	next := action.Command{Device: "arm", Action: action.MoveRobot, Target: geom.V(0.2, 0.1, 0.2)}
 	if err := i.DoLookahead(cur, next); err != nil {
@@ -292,7 +299,7 @@ func TestDoLookaheadHintsChecker(t *testing.T) {
 		t.Fatal(err)
 	}
 	blocked := &hintChecker{fakeChecker: fakeChecker{beforeErr: errors.New("unsafe")}}
-	ib := NewInterceptor(blocked, &fakeExecutor{})
+	ib := keeping(NewInterceptor(blocked, &fakeExecutor{}))
 	if err := ib.DoLookahead(cur, next); err == nil {
 		t.Fatal("blocked command accepted")
 	}
@@ -305,7 +312,7 @@ func TestDoLookaheadHintsChecker(t *testing.T) {
 }
 
 func TestReplayHintsSuccessors(t *testing.T) {
-	rec := NewInterceptor(nil, &fakeExecutor{})
+	rec := keeping(NewInterceptor(nil, &fakeExecutor{}))
 	targets := []geom.Vec3{geom.V(0.1, 0, 0.2), geom.V(0.2, 0, 0.2), geom.V(0.3, 0, 0.2)}
 	for _, tgt := range targets {
 		cmd := action.Command{Device: "arm", Action: action.MoveRobot, Target: tgt}

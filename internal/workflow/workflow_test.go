@@ -25,6 +25,7 @@ func session(t *testing.T) *Session {
 		t.Fatal(err)
 	}
 	i := trace.NewInterceptor(nil, e)
+	i.SetKeepRecords(true)
 	s := NewSession(i, lab)
 	s.Measure = e.MeasureSolubility
 	return s

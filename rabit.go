@@ -331,6 +331,8 @@ func New(spec *config.LabSpec, o Options) (*System, error) {
 	}
 
 	sys.Interceptor = trace.NewInterceptor(checker, e)
+	// Trace reads the whole run's records.
+	sys.Interceptor.SetKeepRecords(true)
 	sys.Interceptor.SetObserver(reg)
 	sys.Interceptor.SetRecorder(sys.Recorder)
 	sys.Interceptor.SetTracer(sys.Tracer)

@@ -8,6 +8,7 @@ import (
 
 	rabit "repro"
 	"repro/internal/labs"
+	"repro/internal/obs"
 )
 
 func TestFacadeDefaults(t *testing.T) {
@@ -30,8 +31,18 @@ func TestFacadeDefaults(t *testing.T) {
 	if sys.DamageCost() != 0 {
 		t.Error("safe workflow cost money")
 	}
-	if len(sys.Trace()) == 0 {
+	// Trace keeps the whole run: one record per command, seqs 1..n.
+	tr := sys.Trace()
+	if len(tr) == 0 {
 		t.Error("no trace recorded")
+	}
+	if ok := sys.ObsSnapshot().Counter(obs.PrefixOutcome + "ok"); int64(len(tr)) != ok {
+		t.Errorf("trace holds %d records for %d ok commands", len(tr), ok)
+	}
+	for i, r := range tr {
+		if r.Seq != i+1 {
+			t.Fatalf("trace record %d has seq %d", i, r.Seq)
+		}
 	}
 }
 
