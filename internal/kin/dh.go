@@ -93,18 +93,35 @@ func (c *Chain) clampJointsInPlace(q []float64) {
 	}
 }
 
-// linkTransform returns the DH transform for link l at joint value theta.
-func linkTransform(l DHLink, theta float64) geom.Pose {
+// stepDH advances cur by link l at joint value theta, in place. It is
+// exactly cur.Compose(l's DH transform at theta): the same products,
+// summed in the same order from zero, so every pose is bit-identical to
+// the composed form — without building the link transform or copying
+// 96-byte poses through the FK loop.
+func stepDH(cur *geom.Pose, l *DHLink, theta float64) {
 	th := theta + l.Offset
 	ct, st := math.Cos(th), math.Sin(th)
 	ca, sa := math.Cos(l.Alpha), math.Sin(l.Alpha)
-	r := geom.Mat3{M: [3][3]float64{
-		{ct, -st * ca, st * sa},
-		{st, ct * ca, -ct * sa},
-		{0, sa, ca},
-	}}
-	t := geom.V(l.A*ct, l.A*st, l.D)
-	return geom.Pose{R: r, T: t}
+	// The link's rotation n and translation (tx, ty, tz).
+	n00, n01, n02 := ct, -st*ca, st*sa
+	n10, n11, n12 := st, ct*ca, -ct*sa
+	n20, n21, n22 := 0.0, sa, ca
+	tx, ty, tz := l.A*ct, l.A*st, l.D
+	r := &cur.R.M
+	// Translation first: it is R·t + T with the rotation before the step.
+	cur.T = geom.Vec3{
+		X: r[0][0]*tx + r[0][1]*ty + r[0][2]*tz + cur.T.X,
+		Y: r[1][0]*tx + r[1][1]*ty + r[1][2]*tz + cur.T.Y,
+		Z: r[2][0]*tx + r[2][1]*ty + r[2][2]*tz + cur.T.Z,
+	}
+	// Row i of R·n reads only row i of R, so each row is rewritten in
+	// place from a copy of itself.
+	for i := range r {
+		a0, a1, a2 := r[i][0], r[i][1], r[i][2]
+		r[i][0] = 0 + a0*n00 + a1*n10 + a2*n20
+		r[i][1] = 0 + a0*n01 + a1*n11 + a2*n21
+		r[i][2] = 0 + a0*n02 + a1*n12 + a2*n22
+	}
 }
 
 // JointOrigins returns the origin of every joint frame, base first and
@@ -126,8 +143,8 @@ func (c *Chain) JointOriginsInto(q []float64, pts []geom.Vec3) ([]geom.Vec3, err
 	pts = pts[:0]
 	cur := c.Base
 	pts = append(pts, cur.T)
-	for i, l := range c.Links {
-		cur = cur.Compose(linkTransform(l, q[i]))
+	for i := range c.Links {
+		stepDH(&cur, &c.Links[i], q[i])
 		pts = append(pts, cur.T)
 	}
 	return pts, nil
@@ -139,8 +156,8 @@ func (c *Chain) Forward(q []float64) (geom.Pose, error) {
 		return geom.Pose{}, fmt.Errorf("%w: got %d, want %d", ErrDOFMismatch, len(q), len(c.Links))
 	}
 	cur := c.Base
-	for i, l := range c.Links {
-		cur = cur.Compose(linkTransform(l, q[i]))
+	for i := range c.Links {
+		stepDH(&cur, &c.Links[i], q[i])
 	}
 	return cur, nil
 }

@@ -156,14 +156,18 @@ func (c *Chain) Solve(target geom.Vec3, q0 []float64, opt IKOptions) ([]float64,
 // (Jacobian, normal matrix, linear solve, residual, clamp) allocates
 // nothing. One scratch serves all of a Solve call's restarts.
 type ikScratch struct {
-	q    []float64   // current configuration
-	e    []float64   // task residual
-	j    [][]float64 // rows×n Jacobian
-	jjt  [][]float64 // rows×rows normal matrix
-	aug  [][]float64 // rows×(rows+1) augmented matrix for elimination
-	w    []float64   // linear-solve result
-	orig []geom.Vec3 // joint frame origins
-	axes []geom.Vec3 // joint axes
+	q   []float64   // current configuration
+	e   []float64   // task residual
+	j   [][]float64 // rows×n Jacobian
+	jjt [][]float64 // rows×rows normal matrix
+	aug [][]float64 // rows×(rows+1) augmented matrix for elimination
+	w   []float64   // linear-solve result
+	// The last residual's FK pass, which the Jacobian at the same
+	// configuration reuses: joint frame origins and axes, and the
+	// end-effector pose.
+	orig []geom.Vec3
+	axes []geom.Vec3
+	ee   geom.Pose
 }
 
 func newIKScratch(n int, opt IKOptions) *ikScratch {
@@ -204,11 +208,11 @@ func (c *Chain) solveFrom(target geom.Vec3, seed []float64, opt IKOptions, sc *i
 	}
 	want := opt.ToolAxis.Unit()
 
-	residual := func(q []float64) ([]float64, float64, float64, bool) {
-		pose, err := c.Forward(q)
-		if err != nil {
-			return nil, math.Inf(1), math.Inf(1), false
-		}
+	// residual runs the iteration's one FK pass, leaving the frames in sc
+	// for the Jacobian at the same q.
+	residual := func(q []float64) ([]float64, float64, float64) {
+		c.framesInto(q, sc)
+		pose := &sc.ee
 		e := sc.e
 		pe := target.Sub(pose.T)
 		e[0], e[1], e[2] = pe.X, pe.Y, pe.Z
@@ -224,16 +228,13 @@ func (c *Chain) solveFrom(target geom.Vec3, seed []float64, opt IKOptions, sc *i
 			e[4] = opt.OrientWeight * diff.Y
 			e[5] = opt.OrientWeight * diff.Z
 		}
-		return e, pe.Norm(), axErr, true
+		return e, pe.Norm(), axErr
 	}
 
-	e, posErr, axErr, ok := residual(q)
-	if !ok {
-		return q, math.Inf(1), math.Inf(1)
-	}
+	e, posErr, axErr := residual(q)
 
 	for iter := 0; iter < opt.MaxIters && (posErr > opt.Tol || (useOrient && axErr > 0.05 && iter < opt.MaxIters/2)); iter++ {
-		j := c.taskJacobianInto(q, rows, opt.OrientWeight, sc)
+		j := c.taskJacobianInto(rows, opt.OrientWeight, sc)
 		// dq = Jᵀ (J Jᵀ + λ² I)⁻¹ e
 		jjt := sc.jjt
 		for r := 0; r < rows; r++ {
@@ -258,28 +259,32 @@ func (c *Chain) solveFrom(target geom.Vec3, seed []float64, opt IKOptions, sc *i
 			q[k] += dq
 		}
 		c.clampJointsInPlace(q)
-		e, posErr, axErr, ok = residual(q)
-		if !ok {
-			return q, math.Inf(1), math.Inf(1)
-		}
+		e, posErr, axErr = residual(q)
 	}
 	return q, posErr, axErr
 }
 
-// taskJacobianInto fills sc.j with the rows×n Jacobian: position rows
-// always, plus tool-axis rows (scaled by orientWeight) when rows == 6.
-func (c *Chain) taskJacobianInto(q []float64, rows int, orientWeight float64, sc *ikScratch) [][]float64 {
+// framesInto is the IK's FK pass at q (len(q) == DOF): it records each
+// joint's frame origin and axis (local Z) in sc.orig and sc.axes, and the
+// end-effector pose in sc.ee.
+func (c *Chain) framesInto(q []float64, sc *ikScratch) {
+	sc.ee = c.Base
+	for i := range c.Links {
+		sc.orig[i] = sc.ee.T
+		sc.axes[i] = sc.ee.R.Col(2)
+		stepDH(&sc.ee, &c.Links[i], q[i])
+	}
+}
+
+// taskJacobianInto fills sc.j with the rows×n Jacobian at the frames the
+// last framesInto left in sc: position rows always, plus tool-axis rows
+// (scaled by orientWeight) when rows == 6.
+func (c *Chain) taskJacobianInto(rows int, orientWeight float64, sc *ikScratch) [][]float64 {
 	n := len(c.Links)
 	j := sc.j
-	cur := c.Base
 	origins, axes := sc.orig, sc.axes
-	for i, l := range c.Links {
-		origins[i] = cur.T
-		axes[i] = cur.R.Col(2) // joint axis is local Z
-		cur = cur.Compose(linkTransform(l, q[i]))
-	}
-	ee := cur.T
-	tool := cur.R.Col(2)
+	ee := sc.ee.T
+	tool := sc.ee.R.Col(2)
 	for i := 0; i < n; i++ {
 		col := axes[i].Cross(ee.Sub(origins[i]))
 		j[0][i], j[1][i], j[2][i] = col.X, col.Y, col.Z

@@ -65,7 +65,7 @@ func TestTraceParentRoundTrip(t *testing.T) {
 	for _, bad := range []string{
 		"",
 		"00-abc-def-01",
-		"ff-" + id.String() + "-" + ctx.Span.String() + "-01", // invalid version
+		"ff-" + id.String() + "-" + ctx.Span.String() + "-01",             // invalid version
 		"00-" + strings.Repeat("0", 32) + "-" + ctx.Span.String() + "-01", // zero trace
 		"00-" + id.String() + "-" + strings.Repeat("0", 16) + "-01",       // zero span
 		"00-" + id.String() + "-" + ctx.Span.String(),                     // missing flags

@@ -128,59 +128,104 @@ func fingerDirection(roll float64) geom.Vec3 {
 
 // capsules returns the arm's own collision volume: chain links plus the
 // finger blade (oriented by the current roll). It does not include a held
-// object; see capsulesWithHeld.
+// object; see labeledCapsulesAt.
 func (a *Arm) capsules() ([]geom.Capsule, error) {
 	caps, err := a.Profile.Chain.LinkCapsules(a.Joints)
 	if err != nil {
 		return nil, err
 	}
-	tcp, err := a.TCP()
-	if err != nil {
-		return nil, err
+	return append(caps, a.fingerCapsule(caps, a.Roll)), nil
+}
+
+// fingerCapsule is the finger blade at the given roll, hanging from the
+// TCP. links are the chain's link capsules at one configuration: the last
+// is the end-effector stub, whose endpoint is the TCP, so the TCP costs no
+// second forward-kinematics pass.
+func (a *Arm) fingerCapsule(links []geom.Capsule, roll float64) geom.Capsule {
+	tcp := links[len(links)-1].Seg.B
+	tip := tcp.Add(fingerDirection(roll).Scale(a.FingerDrop))
+	return geom.NewCapsule(tcp, tip, a.FingerRadius)
+}
+
+// heldVolume is what a held object adds to an arm's collision volume: a
+// capsule of the object's radius hanging below the TCP. part is "" when
+// the arm holds nothing intact. A sweep resolves it once: a collision
+// ends the sweep, so the held object cannot change mid-sweep.
+type heldVolume struct {
+	part   string // "held:<objectID>"
+	radius float64
+	hang   float64 // TCP to the capsule segment's lower end
+}
+
+// heldVolumeLocked resolves the held-object part of a's collision volume.
+// Held objects hang straight down regardless of roll — the gripper holds
+// vials by the cap, so gravity keeps them vertical.
+func (w *World) heldVolumeLocked(a *Arm) heldVolume {
+	if a.Holding == "" {
+		return heldVolume{}
 	}
-	tip := tcp.Add(fingerDirection(a.Roll).Scale(a.FingerDrop))
-	caps = append(caps, geom.NewCapsule(tcp, tip, a.FingerRadius))
-	return caps, nil
+	o, ok := w.objects[a.Holding]
+	if !ok || o.Broken {
+		return heldVolume{}
+	}
+	// The capsule's *surface* must end exactly at the object's bottom,
+	// so the segment stops one radius short of it.
+	hang := o.CarriedHang() - o.RadiusM
+	if hang < 0 {
+		hang = 0
+	}
+	return heldVolume{part: "held:" + o.ID, radius: o.RadiusM, hang: hang}
+}
+
+// appendVolume appends a's labelled collision volume at one configuration
+// to dst: the chain's link capsules links, the finger blade at roll, and
+// the held object (if any).
+func (a *Arm) appendVolume(dst []labeledCapsule, links []geom.Capsule, roll float64, held heldVolume) []labeledCapsule {
+	for _, c := range links {
+		dst = append(dst, labeledCapsule{cap: c, part: "link"})
+	}
+	fingers := a.fingerCapsule(links, roll)
+	dst = append(dst, labeledCapsule{cap: fingers, part: "fingers"})
+	if held.part != "" {
+		tcp := fingers.Seg.A
+		bottom := tcp.Add(geom.V(0, 0, -held.hang))
+		dst = append(dst, labeledCapsule{cap: geom.NewCapsule(tcp, bottom, held.radius), part: held.part})
+	}
+	return dst
 }
 
 // labeledCapsulesAt returns the labelled collision volume for an arbitrary
-// joint configuration and roll, including the held object (if any) hanging
-// below the TCP. Held objects hang straight down regardless of roll — the
-// gripper holds vials by the cap, so gravity keeps them vertical.
+// joint configuration and roll, including the held object (if any).
 func (w *World) labeledCapsulesAt(a *Arm, joints []float64, roll float64) ([]labeledCapsule, error) {
-	linkCaps, err := a.Profile.Chain.LinkCapsules(joints)
+	links, err := a.Profile.Chain.LinkCapsules(joints)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]labeledCapsule, 0, len(linkCaps)+2)
-	for _, c := range linkCaps {
-		out = append(out, labeledCapsule{cap: c, part: "link"})
-	}
-	tcp, err := a.Profile.Chain.EndEffector(joints)
+	return a.appendVolume(make([]labeledCapsule, 0, len(links)+2), links, roll, w.heldVolumeLocked(a)), nil
+}
+
+// sweepVolume samples one arm's labelled collision volume along a
+// trajectory: one forward-kinematics pass per sample, into buffers that
+// are reused from sample to sample. It must not outlive the world lock
+// it was made under.
+type sweepVolume struct {
+	arm   *Arm
+	tr    *kin.Trajectory
+	roll  float64
+	held  heldVolume
+	sweep kin.Sweep
+	caps  []labeledCapsule
+}
+
+// at returns the volume at trajectory parameter t. The slice is valid
+// until the next call.
+func (v *sweepVolume) at(t float64) ([]labeledCapsule, error) {
+	links, err := v.sweep.CapsulesAt(v.tr, t)
 	if err != nil {
 		return nil, err
 	}
-	tip := tcp.Add(fingerDirection(roll).Scale(a.FingerDrop))
-	out = append(out, labeledCapsule{
-		cap:  geom.NewCapsule(tcp, tip, a.FingerRadius),
-		part: "fingers",
-	})
-	if a.Holding != "" {
-		if o, ok := w.objects[a.Holding]; ok && !o.Broken {
-			// The capsule's *surface* must end exactly at the object's
-			// bottom, so the segment stops one radius short of it.
-			hang := o.CarriedHang() - o.RadiusM
-			if hang < 0 {
-				hang = 0
-			}
-			bottom := tcp.Add(geom.V(0, 0, -hang))
-			out = append(out, labeledCapsule{
-				cap:  geom.NewCapsule(tcp, bottom, o.RadiusM),
-				part: "held:" + o.ID,
-			})
-		}
-	}
-	return out, nil
+	v.caps = v.arm.appendVolume(v.caps[:0], links, v.roll, v.held)
+	return v.caps, nil
 }
 
 // CloseGripper closes the arm's gripper. If an intact object rests at a

@@ -139,7 +139,7 @@ func (w *World) MoveArmsConcurrently(moves []ConcurrentMove) error {
 		if err != nil {
 			return fmt.Errorf("world: arm %s cannot reach %v: %w", m.ArmID, m.Target, err)
 		}
-		legs = append(legs, concLeg{arm: a, tr: tr, mv: m})
+		legs = append(legs, concLeg{arm: a, tr: tr, mv: m, vol: sweepVolume{arm: a, tr: tr, roll: m.Opts.Roll, held: w.heldVolumeLocked(a)}})
 		noisyTargets = append(noisyTargets, noisy)
 	}
 	moving := make(map[string]bool, len(legs))
@@ -158,19 +158,19 @@ func (w *World) MoveArmsConcurrently(moves []ConcurrentMove) error {
 	for li, l := range legs {
 		legObstacles[li] = w.obstaclesLocked(l.arm, l.mv.Opts, moving)
 	}
+	allCaps := make([][]labeledCapsule, len(legs))
+	allBounds := make([][]geom.AABB, len(legs))
 	for i := 0; i <= n; i++ {
 		t := float64(i) / float64(n)
 		// Position every leg at t, then check each against statics and
 		// against the other moving arms.
-		allCaps := make([][]labeledCapsule, len(legs))
-		allBounds := make([][]geom.AABB, len(legs))
-		for li, l := range legs {
-			caps, err := w.labeledCapsulesAt(l.arm, l.tr.At(t), l.mv.Opts.Roll)
+		for li := range legs {
+			caps, err := legs[li].vol.at(t)
 			if err != nil {
 				return fmt.Errorf("world: concurrent sweep: %w", err)
 			}
 			allCaps[li] = caps
-			allBounds[li], _ = capsuleBounds(caps, nil)
+			allBounds[li], _ = capsuleBounds(caps, allBounds[li][:0])
 		}
 		for li, l := range legs {
 			if ev, hit := w.checkCapsulesLocked(l.arm, allCaps[li], allBounds[li], legObstacles[li]); hit {
@@ -208,6 +208,7 @@ type concLeg struct {
 	arm *Arm
 	tr  *kin.Trajectory
 	mv  ConcurrentMove
+	vol sweepVolume
 }
 
 func maxLegDuration(legs []concLeg) time.Duration {
@@ -280,11 +281,12 @@ func (w *World) finishMoveLocked(a *Arm, tr *kin.Trajectory, opts MoveOptions, c
 func (w *World) sweepLocked(a *Arm, tr *kin.Trajectory, opts MoveOptions, extraIgnore map[string]bool) error {
 	obstacles := w.obstaclesLocked(a, opts, extraIgnore)
 	others := w.parkedArmsLocked(a, extraIgnore)
+	vol := sweepVolume{arm: a, tr: tr, roll: opts.Roll, held: w.heldVolumeLocked(a)}
 	var scratch [24]geom.AABB
 	n := tr.SampleCount(sweepStep)
 	for i := 0; i <= n; i++ {
 		t := float64(i) / float64(n)
-		caps, err := w.labeledCapsulesAt(a, tr.At(t), opts.Roll)
+		caps, err := vol.at(t)
 		if err != nil {
 			return fmt.Errorf("world: sweep: %w", err)
 		}
