@@ -442,7 +442,6 @@ func writeMotionJSON(path string, rows []eval.MotionResult) error {
 		TrajectoryP95NS     int64  `json:"trajectory_p95_ns"`
 		PlanHits            int64  `json:"plan_cache_hits"`
 		PlanMisses          int64  `json:"plan_cache_misses"`
-		PlanWarmStarts      int64  `json:"plan_cache_warm_starts"`
 		VerdictHits         int64  `json:"verdict_cache_hits"`
 		VerdictMisses       int64  `json:"verdict_cache_misses"`
 		EpochBumps          int64  `json:"deck_epoch_bumps"`
@@ -463,7 +462,6 @@ func writeMotionJSON(path string, rows []eval.MotionResult) error {
 			TrajectoryP95NS:     r.Trajectory.P95.Nanoseconds(),
 			PlanHits:            r.PlanHits,
 			PlanMisses:          r.PlanMisses,
-			PlanWarmStarts:      r.PlanWarmStarts,
 			VerdictHits:         r.VerdictHits,
 			VerdictMisses:       r.VerdictMisses,
 			EpochBumps:          r.EpochBumps,

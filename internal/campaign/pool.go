@@ -36,16 +36,6 @@ type stack struct {
 // scenarios while still capping memory.
 const planCacheCapacity = 8192
 
-// exactPlanCache returns a plan cache safe to share across scenarios and
-// workers: warm-start seeding is off, so a miss solves exactly what the
-// cold path would and a hit replays that byte-identical answer — cache
-// state can change *when* planning work happens, never its outcome.
-func exactPlanCache() *kin.PlanCache {
-	pc := kin.NewPlanCache(planCacheCapacity)
-	pc.SetWarmStart(false)
-	return pc
-}
-
 // deckRuntime owns the stack pool for one deck variant. sync.Pool gives
 // work-stealing workers lock-free reuse and lets idle stacks be collected
 // under memory pressure. The two shared plan caches are the pooled
@@ -65,8 +55,8 @@ func newDeckRuntime(d *Deck, incidentDir string) *deckRuntime {
 	return &deckRuntime{
 		deck:        d,
 		incidentDir: incidentDir,
-		worldPlans:  exactPlanCache(),
-		simPlans:    exactPlanCache(),
+		worldPlans:  kin.NewPlanCache(planCacheCapacity),
+		simPlans:    kin.NewPlanCache(planCacheCapacity),
 	}
 }
 

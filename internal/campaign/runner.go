@@ -382,14 +382,14 @@ func runNaive(sc *Scenario, incidentDir string, oracleUnsafe bool, detail string
 		return false, nil, 0, err
 	}
 	campaignWorld(e, nil)
-	// The private plan cache runs warm-start off so the naive mode's IK
-	// lands on exactly the branches the pooled mode's shared caches
-	// replay — the modes must agree scenario-by-scenario, not just in
-	// aggregate.
+	// A plan-cache miss solves exactly what the cold planner would, so the
+	// naive mode's private cache lands on the branches the pooled mode's
+	// shared caches replay — the modes must agree scenario-by-scenario,
+	// not just in aggregate.
 	sm, err := sim.New(lab,
 		sim.WithHeldObjectAware(true),
 		sim.WithMotionCache(true),
-		sim.WithSharedPlanCache(exactPlanCache()))
+		sim.WithSharedPlanCache(kin.NewPlanCache(planCacheCapacity)))
 	if err != nil {
 		return false, nil, 0, err
 	}

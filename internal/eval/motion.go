@@ -58,9 +58,8 @@ type MotionResult struct {
 	Validate   StageLatency
 	Trajectory StageLatency
 	// Plan-cache counters (IK layer).
-	PlanHits       int64
-	PlanMisses     int64
-	PlanWarmStarts int64
+	PlanHits   int64
+	PlanMisses int64
 	// Verdict-cache counters (simulator layer).
 	VerdictHits   int64
 	VerdictMisses int64
@@ -191,7 +190,6 @@ func runMotion(mode string, o MotionOptions) (*MotionResult, error) {
 		Trajectory:          stageLatency(s.Obs, obs.StageTrajectory),
 		PlanHits:            s.Obs.Counter(obs.CounterPlanCacheHits).Value(),
 		PlanMisses:          s.Obs.Counter(obs.CounterPlanCacheMisses).Value(),
-		PlanWarmStarts:      s.Obs.Counter(obs.CounterPlanCacheWarmStarts).Value(),
 		VerdictHits:         s.Obs.Counter(obs.CounterVerdictCacheHits).Value(),
 		VerdictMisses:       s.Obs.Counter(obs.CounterVerdictCacheMisses).Value(),
 		EpochBumps:          s.Obs.Counter(obs.CounterDeckEpochBumps).Value(),

@@ -24,10 +24,6 @@ const (
 	TargetQuantum = 1e-4
 )
 
-// WarmStartRadius bounds how far (m) a cached solution's target may be
-// from a new query's target and still be offered as a DLS seed.
-const WarmStartRadius = 0.25
-
 // PlanCacheStats is a point-in-time snapshot of cache effectiveness.
 type PlanCacheStats struct {
 	// Hits is the number of Plan calls answered from the cache.
@@ -36,10 +32,6 @@ type PlanCacheStats struct {
 	Misses int64
 	// Evictions is the number of entries dropped by the LRU bound.
 	Evictions int64
-	// WarmStarts is the number of misses resolved by a single DLS solve
-	// seeded from a cache-adjacent solution instead of the restart
-	// schedule.
-	WarmStarts int64
 }
 
 // PlanCache memoizes PlanJointMove solutions behind a bounded LRU. Keys
@@ -48,32 +40,27 @@ type PlanCacheStats struct {
 // A hit returns a fresh Trajectory sharing no mutable state with the
 // cache, so callers may treat it exactly like a cold plan.
 //
-// On a miss the cache can additionally warm-start the solver: the cached
-// solution with the nearest target (same chain, same options, within
-// WarmStartRadius) seeds one DLS descent, and only if that descent fails
-// the solve contract — position within Tol, and tool axis within the
-// same 0.1 rad bar Solve's own restart loop accepts early — does the
-// full restart schedule run. Warm starts return a possibly different
-// (equally valid) IK branch than the cold schedule; disable with
-// SetWarmStart(false) where bit-identical cold behaviour is required.
+// A miss runs exactly the cold PlanJointMove and a hit replays that
+// answer, so cache state can change when planning work happens, never
+// which IK branch a move takes: a simulator planning through the cache
+// checks the same joint path that an uncached planner (the ground-truth
+// world's) executes.
 //
 // A PlanCache is safe for concurrent use; the IK solve itself runs
 // outside the cache lock.
 type PlanCache struct {
 	mu    sync.Mutex
 	cap   int
-	warm  bool
 	ll    *list.List // front = most recently used
 	items map[string]*list.Element
 
-	hits       atomic.Int64
-	misses     atomic.Int64
-	evictions  atomic.Int64
-	warmStarts atomic.Int64
+	hits      atomic.Int64
+	misses    atomic.Int64
+	evictions atomic.Int64
 
 	// Optional external counters mirroring the stats (set once before
 	// concurrent use; *obs.Counter satisfies the interface).
-	cHits, cMisses, cEvictions, cWarmStarts CacheCounter
+	cHits, cMisses, cEvictions CacheCounter
 }
 
 // CacheCounter is the narrow event-sink a PlanCache publishes to — the
@@ -84,10 +71,8 @@ type CacheCounter interface{ Add(n int64) }
 // planEntry is one cached solution. to is owned by the cache and never
 // handed out by reference.
 type planEntry struct {
-	key    string
-	group  string // chain + options fingerprint, for warm-start scans
-	target geom.Vec3
-	to     []float64
+	key string
+	to  []float64
 }
 
 // DefaultPlanCacheCapacity bounds the cache when the caller does not
@@ -97,15 +82,13 @@ type planEntry struct {
 const DefaultPlanCacheCapacity = 512
 
 // NewPlanCache returns an empty cache holding at most capacity entries
-// (DefaultPlanCacheCapacity if capacity <= 0), with warm-start seeding
-// enabled.
+// (DefaultPlanCacheCapacity if capacity <= 0).
 func NewPlanCache(capacity int) *PlanCache {
 	if capacity <= 0 {
 		capacity = DefaultPlanCacheCapacity
 	}
 	return &PlanCache{
 		cap:   capacity,
-		warm:  true,
 		ll:    list.New(),
 		items: make(map[string]*list.Element, capacity),
 	}
@@ -114,9 +97,9 @@ func NewPlanCache(capacity int) *PlanCache {
 // SetCounters mirrors future cache events into external counters
 // (telemetry). Call before the cache sees concurrent use; nil counters
 // are allowed.
-func (p *PlanCache) SetCounters(hits, misses, evictions, warmStarts CacheCounter) {
+func (p *PlanCache) SetCounters(hits, misses, evictions CacheCounter) {
 	p.mu.Lock()
-	p.cHits, p.cMisses, p.cEvictions, p.cWarmStarts = hits, misses, evictions, warmStarts
+	p.cHits, p.cMisses, p.cEvictions = hits, misses, evictions
 	p.mu.Unlock()
 }
 
@@ -128,20 +111,17 @@ func count(stat *atomic.Int64, c CacheCounter) {
 	}
 }
 
-// SetWarmStart toggles nearest-neighbor warm-start seeding on miss.
-func (p *PlanCache) SetWarmStart(on bool) {
-	p.mu.Lock()
-	p.warm = on
-	p.mu.Unlock()
-}
+// SetWarmStart does nothing: a miss always solves cold. It remains only
+// for its one caller, exactPlans in rabitbench/campaign.go, and goes away
+// with that call.
+func (p *PlanCache) SetWarmStart(bool) {}
 
 // Stats returns current counters.
 func (p *PlanCache) Stats() PlanCacheStats {
 	return PlanCacheStats{
-		Hits:       p.hits.Load(),
-		Misses:     p.misses.Load(),
-		Evictions:  p.evictions.Load(),
-		WarmStarts: p.warmStarts.Load(),
+		Hits:      p.hits.Load(),
+		Misses:    p.misses.Load(),
+		Evictions: p.evictions.Load(),
 	}
 }
 
@@ -160,11 +140,10 @@ func (p *PlanCache) Key(c *Chain, from []float64, target geom.Vec3, opt IKOption
 }
 
 // Plan returns the trajectory from from to the IK solution of target,
-// serving a memoized solution when one exists and solving (warm-started
-// when possible) otherwise. Errors are never cached.
+// serving a memoized solution when one exists and solving cold otherwise.
+// Errors are never cached.
 func (p *PlanCache) Plan(c *Chain, from []float64, target geom.Vec3, opt IKOptions) (*Trajectory, error) {
-	group := appendGroupKey(nil, c, opt)
-	key := appendMoveKey(group, from, target)
+	key := appendPlanKey(nil, c, from, target, opt)
 
 	p.mu.Lock()
 	if el, ok := p.items[string(key)]; ok {
@@ -174,29 +153,17 @@ func (p *PlanCache) Plan(c *Chain, from []float64, target geom.Vec3, opt IKOptio
 		p.mu.Unlock()
 		return &Trajectory{Chain: c, From: from, To: to}, nil
 	}
-	var seed []float64
-	if p.warm {
-		seed = p.nearestLocked(string(group), target)
-	}
 	count(&p.misses, p.cMisses)
 	p.mu.Unlock()
 
-	tr, warmed, err := p.solve(c, from, target, opt, seed)
+	tr, err := c.PlanJointMove(from, target, opt)
 	if err != nil {
 		return nil, err
 	}
 
 	p.mu.Lock()
-	if warmed {
-		count(&p.warmStarts, p.cWarmStarts)
-	}
 	if _, ok := p.items[string(key)]; !ok {
-		el := p.ll.PushFront(&planEntry{
-			key:    string(key),
-			group:  string(group),
-			target: target,
-			to:     append([]float64(nil), tr.To...),
-		})
+		el := p.ll.PushFront(&planEntry{key: string(key), to: append([]float64(nil), tr.To...)})
 		p.items[string(key)] = el
 		for p.ll.Len() > p.cap {
 			oldest := p.ll.Back()
@@ -209,59 +176,10 @@ func (p *PlanCache) Plan(c *Chain, from []float64, target geom.Vec3, opt IKOptio
 	return tr, nil
 }
 
-// nearestLocked returns a copy of the cached goal configuration whose
-// target is nearest to target within the same group, or nil if none is
-// inside WarmStartRadius. Caller holds p.mu.
-func (p *PlanCache) nearestLocked(group string, target geom.Vec3) []float64 {
-	bestDist := WarmStartRadius
-	var best *planEntry
-	for el := p.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*planEntry)
-		if e.group != group {
-			continue
-		}
-		if d := e.target.Dist(target); d <= bestDist {
-			bestDist, best = d, e
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	return append([]float64(nil), best.to...)
-}
-
-// solve runs the actual planning for a miss. With a warm seed it tries a
-// single DLS descent from the seed first, accepting only solutions that
-// meet Solve's own early-accept bar; anything else falls through to the
-// cold PlanJointMove path.
-func (p *PlanCache) solve(c *Chain, from []float64, target geom.Vec3, opt IKOptions, seed []float64) (*Trajectory, bool, error) {
-	if seed == nil || len(seed) != len(c.Links) {
-		tr, err := c.PlanJointMove(from, target, opt)
-		return tr, false, err
-	}
-	if err := c.CheckJoints(from); err != nil {
-		tr, err := c.PlanJointMove(from, target, opt)
-		return tr, false, err
-	}
-	// Mirror Solve's cheap rejects so warm starts never spend MaxIters
-	// on a target the cold path refuses immediately.
-	if !target.IsFinite() || target.Dist(c.Base.T) > c.Reach()+opt.Tol {
-		tr, err := c.PlanJointMove(from, target, opt)
-		return tr, false, err
-	}
-	sc := newIKScratch(len(c.Links), opt)
-	q, posErr, axErr := c.solveFrom(target, seed, opt, sc)
-	if posErr <= opt.Tol && (opt.OrientWeight == 0 || axErr < 0.1) {
-		return &Trajectory{Chain: c, From: from, To: append([]float64(nil), q...)}, true, nil
-	}
-	tr, err := c.PlanJointMove(from, target, opt)
-	return tr, false, err
-}
-
-// appendGroupKey appends the chain-identity and options fingerprint:
-// everything that must match for two solutions to be interchangeable,
-// independent of the specific move.
-func appendGroupKey(b []byte, c *Chain, opt IKOptions) []byte {
+// appendPlanKey appends the cache key: the chain identity and IK-options
+// fingerprint (everything that must match for two solutions to be
+// interchangeable), then the quantized start configuration and target.
+func appendPlanKey(b []byte, c *Chain, from []float64, target geom.Vec3, opt IKOptions) []byte {
 	b = append(b, c.Name...)
 	b = append(b, '@')
 	b = appendQuantized(b, c.Base.T.X, TargetQuantum)
@@ -285,12 +203,6 @@ func appendGroupKey(b []byte, c *Chain, opt IKOptions) []byte {
 	b = strconv.AppendFloat(b, opt.ToolAxis.Y, 'g', -1, 64)
 	b = append(b, ',')
 	b = strconv.AppendFloat(b, opt.ToolAxis.Z, 'g', -1, 64)
-	return b
-}
-
-// appendMoveKey appends the quantized start configuration and target to a
-// group prefix.
-func appendMoveKey(b []byte, from []float64, target geom.Vec3) []byte {
 	b = append(b, "|f"...)
 	for _, v := range from {
 		b = appendQuantized(b, v, JointQuantum)
@@ -300,11 +212,6 @@ func appendMoveKey(b []byte, from []float64, target geom.Vec3) []byte {
 	b = appendQuantized(b, target.Y, TargetQuantum)
 	b = appendQuantized(b, target.Z, TargetQuantum)
 	return b
-}
-
-func appendPlanKey(b []byte, c *Chain, from []float64, target geom.Vec3, opt IKOptions) []byte {
-	b = appendGroupKey(b, c, opt)
-	return appendMoveKey(b, from, target)
 }
 
 func appendQuantized(b []byte, v, quantum float64) []byte {

@@ -67,9 +67,6 @@ const (
 	CounterPlanCacheMisses = "kin.plan_cache_misses"
 	// CounterPlanCacheEvictions counts plan-cache LRU evictions.
 	CounterPlanCacheEvictions = "kin.plan_cache_evictions"
-	// CounterPlanCacheWarmStarts counts misses resolved by a single DLS
-	// descent seeded from a cache-adjacent solution.
-	CounterPlanCacheWarmStarts = "kin.plan_cache_warm_starts"
 	// CounterVerdictCacheHits counts trajectory verdicts served from the
 	// simulator's epoch-keyed verdict cache.
 	CounterVerdictCacheHits = "sim.verdict_cache_hits"

@@ -107,9 +107,9 @@ func TestDeckEpochInvalidatesVerdicts(t *testing.T) {
 // over hundreds of randomized interleavings of motion commands and
 // deck-relevant model mutations, the cached simulator (epoch bumped on
 // every mutation) returns exactly the verdicts — reason strings included
-// — of an uncached simulator driven identically. Warm-start seeding is
-// disabled so the plan cache is bit-identical to the cold planner and
-// verdict equivalence is exact, not merely tolerance-equal.
+// — of an uncached simulator driven identically. It runs the default
+// cache: a plan-cache miss solves cold and a hit replays that answer, so
+// equivalence is exact, not merely tolerance-equal.
 func TestCachedVerdictEquivalenceRandomized(t *testing.T) {
 	lab, err := labs.Testbed()
 	if err != nil {
@@ -120,7 +120,6 @@ func TestCachedVerdictEquivalenceRandomized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached.PlanCache().SetWarmStart(false)
 	plain, err := New(lab)
 	if err != nil {
 		t.Fatal(err)

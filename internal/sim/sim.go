@@ -283,8 +283,7 @@ func New(lab *config.Lab, opts ...Option) (*Simulator, error) {
 		s.planCache.SetCounters(
 			s.reg.Counter(obs.CounterPlanCacheHits),
 			s.reg.Counter(obs.CounterPlanCacheMisses),
-			s.reg.Counter(obs.CounterPlanCacheEvictions),
-			s.reg.Counter(obs.CounterPlanCacheWarmStarts))
+			s.reg.Counter(obs.CounterPlanCacheEvictions))
 	}
 	return s, nil
 }

@@ -147,10 +147,10 @@ type World struct {
 	// scenarios; scenario diversity comes from placement jitter and task
 	// parameters instead.
 	exactMotion bool
-	// planCache, when set, memoizes MoveArmTo's IK plans. Sound only with
-	// warm-start disabled (a hit must be byte-identical to a cold solve)
-	// and with exactMotion on (noisy targets never repeat, so keys would
-	// only churn the LRU).
+	// planCache, when set, memoizes MoveArmTo's IK plans. A hit is
+	// byte-identical to a cold solve; the cache pays off only with
+	// exactMotion on (noisy targets never repeat, so keys would only
+	// churn the LRU).
 	planCache *kin.PlanCache
 }
 
@@ -162,9 +162,9 @@ func (w *World) SetExactMotion(on bool) {
 }
 
 // SetMotionPlanCache routes MoveArmTo IK planning through pc (nil
-// restores direct solving). Callers sharing one cache across worlds must
-// disable its warm start: exact-key hits replay the cold solver's own
-// answer, which keeps cached and uncached runs byte-identical.
+// restores direct solving). The cache may be shared across worlds:
+// exact-key hits replay the cold solver's own answer, which keeps cached
+// and uncached runs byte-identical.
 func (w *World) SetMotionPlanCache(pc *kin.PlanCache) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -92,9 +92,10 @@ type Options struct {
 	// simulator's IK plan cache and epoch-keyed verdict cache, and with
 	// them the engine's speculative lookahead — which is otherwise
 	// enabled whenever the extended simulator is attached. Benchmarks use
-	// it as the before/after switch; the caches are verdict-preserving
-	// (see internal/sim's equivalence property tests), so correctness
-	// never requires it.
+	// it as the before/after switch. The caches are verdict-preserving:
+	// every command ends with the same error, alert and world events
+	// either way (TestMotionCacheVerdictInvariance), so correctness never
+	// requires it.
 	NoMotionCache bool
 	// NoSpeculation keeps the caches but disables the engine's
 	// speculative lookahead worker.
