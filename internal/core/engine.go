@@ -524,6 +524,10 @@ func (e *Engine) Drain() {
 // Draining reports whether the admission gate is closed.
 func (e *Engine) Draining() bool { return e.draining.Load() }
 
+// InFlight reports how many Before/After calls are inside the engine:
+// admitted, and not yet returned.
+func (e *Engine) InFlight() int64 { return e.inflight.Load() }
+
 // admit counts a checker call in-flight; gated calls are rejected once
 // the engine drains. The increment happens before the gate read — see
 // Drain for why that order closes the submit/drain race.

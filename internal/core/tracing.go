@@ -57,10 +57,12 @@ func (e *Engine) stageSpan(parent otrace.SpanContext, name string, from, to time
 	if e.tracer == nil || !parent.Valid() {
 		return
 	}
-	s := e.tracer.StartSpanAt(parent, name, from)
-	if al != nil {
-		s.MarkAlert(al.Kind.Slug(), al.Error())
+	if al == nil {
+		e.tracer.Emit(parent, name, from, to, "")
+		return
 	}
+	s := e.tracer.StartSpanAt(parent, name, from)
+	s.MarkAlert(al.Kind.Slug(), al.Error())
 	s.EndAt(to)
 }
 

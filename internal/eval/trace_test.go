@@ -2,6 +2,7 @@ package eval
 
 import (
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -184,6 +185,13 @@ func TestThroughputWithTracing(t *testing.T) {
 // paced sharded replay — the deployment configuration CI tracks, with
 // the recorder on in both arms so the delta isolates tracing. The
 // acceptance bar is ≤ 2% throughput overhead.
+//
+// Each iteration is one untraced/traced pair, run back to back in
+// alternating order so drift between the two halves cancels; the
+// reported overhead-% is the median of the per-pair overheads. One
+// paced run is mostly device-time sleep and reads a few percent of
+// scheduling noise on a small host, so a 2% gate needs many pairs
+// (CI runs 101) and an outlier-proof statistic.
 func BenchmarkTraceOverhead(b *testing.B) {
 	run := func(noTracing bool, speedup float64, perScript int) *ThroughputResult {
 		res, err := Throughput(ThroughputOptions{
@@ -199,15 +207,30 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		return res
 	}
 	run(true, 200, 40) // warm up
-	var on, off float64
+	overheads := make([]float64, 0, b.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		off += run(true, 200, 40).CommandsPerSec
-		on += run(false, 200, 40).CommandsPerSec
+		var off, on float64
+		if i%2 == 0 {
+			off = run(true, 200, 40).CommandsPerSec
+			on = run(false, 200, 40).CommandsPerSec
+		} else {
+			on = run(false, 200, 40).CommandsPerSec
+			off = run(true, 200, 40).CommandsPerSec
+		}
+		if off > 0 {
+			overheads = append(overheads, 100*(off-on)/off)
+		}
 	}
 	b.StopTimer()
-	if off > 0 {
-		b.ReportMetric(100*(off-on)/off, "overhead-%")
+	if len(overheads) > 0 {
+		sort.Float64s(overheads)
+		mid := len(overheads) / 2
+		median := overheads[mid]
+		if len(overheads)%2 == 0 {
+			median = (overheads[mid-1] + overheads[mid]) / 2
+		}
+		b.ReportMetric(median, "overhead-%")
 	}
 	var onCheck, offCheck time.Duration
 	const checkPairs = 3

@@ -100,6 +100,10 @@ type tenant struct {
 	// healthy). A failed tenant is never reused, drained or closed: its
 	// engine's locks may still be held.
 	failed atomic.Pointer[error]
+	// inflight counts the lab's admitted command batches (see
+	// admitBatch). Drain waits them out on healthy tenants only: a
+	// batch blocked behind a failed tenant's abandoned locks never ends.
+	inflight atomic.Int64
 
 	// Cached per-tenant instruments (ISSUE 10): the RED set plus
 	// admission-queue depth, rejections, and active sessions, all
@@ -157,14 +161,13 @@ type Gateway struct {
 	sessSeq  int
 	closed   bool
 
-	// draining is the admission gate; inflight counts admitted command
-	// batches. The pairing mirrors the engine's own gate: admission
+	// draining is the admission gate, paired with each tenant's
+	// inflight count as the engine pairs its own gate: admission
 	// increments inflight first and then checks the gate, drain closes
 	// the gate first and then waits inflight out, so under sequentially
 	// consistent atomics a batch racing a drain is either seen by the
 	// wait or rejected — never silently admitted after /readyz flips.
 	draining  atomic.Bool
-	inflight  atomic.Int64
 	drainOnce sync.Once
 
 	health      *obs.HealthReg
@@ -394,26 +397,41 @@ func (g *Gateway) CloseSession(id string) error {
 	return nil
 }
 
-// admitBatch is the gateway-level admission gate for one command batch:
-// inflight is incremented before the gate is read, so Drain's
+// admitBatch is the gateway-level admission gate for one command batch
+// on t: t's inflight is incremented before the gate is read, so Drain's
 // store-then-wait can never miss a batch it did not reject. The caller
-// must call releaseBatch exactly once when admitted.
-func (g *Gateway) admitBatch() bool {
-	g.inflight.Add(1)
+// must call t.releaseBatch exactly once when admitted.
+func (g *Gateway) admitBatch(t *tenant) bool {
+	t.inflight.Add(1)
 	if g.draining.Load() {
-		g.inflight.Add(-1)
+		t.inflight.Add(-1)
 		return false
 	}
 	return true
 }
 
-func (g *Gateway) releaseBatch() { g.inflight.Add(-1) }
+func (t *tenant) releaseBatch() { t.inflight.Add(-1) }
+
+// busy reports whether a healthy tenant still has admitted batches.
+// Failed tenants are skipped: a batch blocked on the locks a panic
+// abandoned would hold Drain forever.
+func (g *Gateway) busy() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, t := range g.tenants {
+		if t.err() == nil && t.inflight.Load() > 0 {
+			return true
+		}
+	}
+	return false
+}
 
 // Drain gates the gateway for shutdown: new sessions and command
 // batches are rejected with ErrDraining, /readyz flips to unready,
-// every in-flight batch finishes its checks, and then each tenant's
-// System drains (closing the engine admission gate and flushing
-// recorders and traces). Idempotent; blocks until quiesced.
+// every in-flight batch on a healthy tenant finishes its checks, and
+// then each healthy tenant's System drains (closing the engine admission
+// gate and flushing recorders and traces). A failed tenant's batches are
+// not waited for. Idempotent; blocks until quiesced.
 func (g *Gateway) Drain() {
 	g.drainOnce.Do(func() {
 		g.draining.Store(true)
@@ -421,7 +439,7 @@ func (g *Gateway) Drain() {
 			close(g.janitorStop)
 			<-g.janitorDone
 		}
-		for g.inflight.Load() > 0 {
+		for g.busy() {
 			time.Sleep(200 * time.Microsecond)
 		}
 		g.mu.Lock()

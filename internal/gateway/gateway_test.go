@@ -330,7 +330,7 @@ func TestGatewayConcurrentTenantSessions(t *testing.T) {
 func TestGatewayBackpressure(t *testing.T) {
 	// Slow pacing so the occupying batch holds its admission token long
 	// enough for the test to observe the 429.
-	_, srv := newTestGateway(t, Options{
+	gw, srv := newTestGateway(t, Options{
 		QueueDepth: 1,
 		ConfigureSystem: func(_ string, sys *rabit.System) {
 			sys.Env.SetPacing(20) // 1s action ≈ 50ms real
@@ -356,8 +356,14 @@ func TestGatewayBackpressure(t *testing.T) {
 
 	// Wait until the occupying batch holds the tenant's only admission
 	// token, then a second batch on the same lab must bounce with 429.
-	var status int
 	deadline := time.Now().Add(5 * time.Second)
+	for busy := tenantOf(gw, "busy-lab"); len(busy.sem) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the occupying batch never took the admission token")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var status int
 	for time.Now().Before(deadline) {
 		raw, _ := json.Marshal(CommandBatch{Commands: []action.Command{
 			{Device: "hp01", Action: action.ReadStatus},
@@ -424,7 +430,7 @@ func TestGatewayDrainFinishesInFlight(t *testing.T) {
 	}()
 	// Give the batch a moment to be admitted and mid-flight.
 	deadline := time.Now().Add(5 * time.Second)
-	for gw.inflight.Load() == 0 {
+	for tenantOf(gw, "drain-lab").inflight.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("batch never went in flight")
 		}

@@ -120,12 +120,12 @@ func (g *Gateway) handleCommands(w http.ResponseWriter, r *http.Request) {
 		writeDecodeErr(w, err)
 		return
 	}
-	if !g.admitBatch() {
+	t := s.tenant
+	if !g.admitBatch(t) {
 		writeErr(w, http.StatusServiceUnavailable, ErrDraining)
 		return
 	}
-	defer g.releaseBatch()
-	t := s.tenant
+	defer t.releaseBatch()
 	select {
 	case t.sem <- struct{}{}:
 	default:

@@ -1,8 +1,11 @@
 package gateway
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -189,4 +192,104 @@ func TestGatewaySessionKeepsNoRecords(t *testing.T) {
 	if got, _ := getSessionInfo(t, srv, info.id()); got.Commands != batches*cycles*4 {
 		t.Fatalf("session info counts %d commands, want %d", got.Commands, batches*cycles*4)
 	}
+}
+
+// A failed tenant must not hang shutdown. Session A's command panics in
+// a custom rule while it holds hp00's engine locks, after session B's
+// batch on the same lab has been admitted and has blocked behind those
+// locks. B's batch can never finish — the panicking frame took the
+// unlock with it — so Drain, which waits out admitted batches, must stop
+// waiting on the failed tenant and still drain the healthy one.
+//
+// B's request runs on the handler directly rather than through a test
+// server: its goroutine stays blocked on the abandoned lock for the rest
+// of the process, and a server's Close would wait for it forever.
+func TestGatewayDrainSkipsFailedTenant(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	gw, srv := newTestGateway(t, Options{ConfigureSystem: func(lab string, sys *rabit.System) {
+		sys.Env.SetPacing(1000)
+		if lab != "stuck" {
+			return
+		}
+		boom := &rules.Rule{
+			ID: "boom", Scope: rules.ScopeCustom, Number: 1,
+			Description: "panics on one setpoint once released",
+			Reads:       rules.ReadsCommand,
+			Check: func(ctx *rules.EvalContext) string {
+				if ctx.Cmd.Action == action.SetActionValue && ctx.Cmd.Value == panickySetpoint {
+					close(entered)
+					<-release
+					panic("custom rule boom")
+				}
+				return ""
+			},
+		}
+		rb, err := rules.NewRulebase(sys.Lab, rules.Config{
+			Generation: rules.GenModified, Multiplex: rules.MultiplexTime,
+		}, boom)
+		if err != nil {
+			panic(err)
+		}
+		sys.Engine = core.New(rb, sys.Env, core.WithInitialModel(sys.Lab.InitialModelState()))
+		sys.Engine.Start()
+	}})
+	healthy := createSession(t, srv, CreateSessionRequest{Spec: rawSpec(t, fleetSpec("healthy", 1))})
+	a := createSession(t, srv, CreateSessionRequest{Spec: rawSpec(t, fleetSpec("stuck", 1))})
+	b := createSession(t, srv, CreateSessionRequest{Spec: rawSpec(t, fleetSpec("stuck", 1))})
+	if _, status := postBatch(t, srv, healthy.id(), heatCycle(50)); status != http.StatusOK {
+		t.Fatalf("healthy batch: status %d", status)
+	}
+
+	serve := func(session string, cmds []action.Command) {
+		raw, _ := json.Marshal(CommandBatch{Commands: cmds})
+		req := httptest.NewRequest(http.MethodPost, "/v1/sessions/"+session+"/commands", bytes.NewReader(raw))
+		gw.Handler().ServeHTTP(httptest.NewRecorder(), req)
+	}
+	aDone := make(chan struct{})
+	go func() {
+		defer close(aDone)
+		serve(a.id(), []action.Command{{Device: "hp00", Action: action.SetActionValue, Value: panickySetpoint}})
+	}()
+	<-entered // A holds hp00's locks inside the rule
+	go serve(b.id(), heatCycle(50))
+	// Once B's first command is inside the engine it has passed the
+	// gateway's healthy-tenant check, and nothing but hp00's shard lock,
+	// held by A, lies between it and the rules: from here on it blocks
+	// there whenever A panics.
+	deadline := time.Now().Add(5 * time.Second)
+	for eng := tenantOf(gw, "stuck").sys.Engine; eng.InFlight() < 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("B's batch never entered the engine")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	<-aDone
+	if tenantOf(gw, "stuck").err() == nil {
+		t.Fatal("the panic did not fail the tenant")
+	}
+
+	drained := make(chan struct{})
+	go func() {
+		gw.Drain()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Drain hung on the failed tenant's blocked batch")
+	}
+	if n := tenantOf(gw, "stuck").inflight.Load(); n != 1 {
+		t.Errorf("failed tenant holds %d admitted batches after drain, want B's 1", n)
+	}
+	if ok := tenantOf(gw, "healthy").sys.Engine.Draining(); !ok {
+		t.Error("the healthy tenant's engine was not drained")
+	}
+}
+
+// tenantOf returns the gateway's pooled tenant for lab, or nil.
+func tenantOf(gw *Gateway, lab string) *tenant {
+	gw.mu.Lock()
+	defer gw.mu.Unlock()
+	return gw.tenants[lab]
 }

@@ -76,14 +76,18 @@ func (v Vec3) Lerp(w Vec3, t float64) Vec3 {
 	}
 }
 
-// Min returns the component-wise minimum of v and w.
+// Min returns the component-wise minimum of v and w. The builtin min is
+// inlined, unlike math.Min on amd64, and returns math.Min's bits for
+// every non-NaN result, -0 included; it differs only in returning NaN
+// for Min(NaN, -Inf), where math.Min returns -Inf (TestVecMinMaxMatchMath).
 func (v Vec3) Min(w Vec3) Vec3 {
-	return Vec3{math.Min(v.X, w.X), math.Min(v.Y, w.Y), math.Min(v.Z, w.Z)}
+	return Vec3{min(v.X, w.X), min(v.Y, w.Y), min(v.Z, w.Z)}
 }
 
-// Max returns the component-wise maximum of v and w.
+// Max returns the component-wise maximum of v and w, with the builtin
+// max: math.Max's bits except NaN for Max(NaN, +Inf), as Min.
 func (v Vec3) Max(w Vec3) Vec3 {
-	return Vec3{math.Max(v.X, w.X), math.Max(v.Y, w.Y), math.Max(v.Z, w.Z)}
+	return Vec3{max(v.X, w.X), max(v.Y, w.Y), max(v.Z, w.Z)}
 }
 
 // Abs returns the component-wise absolute value of v.

@@ -179,3 +179,41 @@ func TestFrameTransformError(t *testing.T) {
 		t.Errorf("Error() = %v, want 0.03", e)
 	}
 }
+
+// TestVecMinMaxMatchMath pins how Vec3.Min and Max, built on the builtin
+// min and max, relate to math.Min and math.Max over every pairing of
+// NaN, ±0, ±Inf and ordinary values, in each component and either
+// order. Every non-NaN result has the same bits, -0 and +0 included.
+// Where math returns NaN the builtin does too, though not always with
+// the same payload. The one difference in value: math.Min(NaN, -Inf) is
+// -Inf and math.Max(NaN, +Inf) is +Inf, where the builtin returns NaN.
+func TestVecMinMaxMatchMath(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	vals := []float64{math.NaN(), 0, negZero, math.Inf(1), math.Inf(-1), 1, -1, 1e-310, -2.5, math.MaxFloat64}
+	check := func(op string, a, b, got, want, inf float64) {
+		t.Helper()
+		switch {
+		case math.IsNaN(a) != math.IsNaN(b) && (a == inf || b == inf):
+			if !math.IsNaN(got) || want != inf {
+				t.Errorf("%s(%v, %v) = %v, want NaN (math: %v)", op, a, b, got, want)
+			}
+		case math.IsNaN(want):
+			if !math.IsNaN(got) {
+				t.Errorf("%s(%v, %v) = %v, math gives NaN", op, a, b, got)
+			}
+		case math.Float64bits(got) != math.Float64bits(want):
+			t.Errorf("%s(%v, %v) = %v (%#x), math gives %v (%#x)", op, a, b,
+				got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			lo, hi := V(a, b, a).Min(V(b, a, b)), V(a, b, a).Max(V(b, a, b))
+			for i, x := range [3]float64{a, b, a} {
+				y := [3]float64{b, a, b}[i]
+				check("Min", x, y, [3]float64{lo.X, lo.Y, lo.Z}[i], math.Min(x, y), math.Inf(-1))
+				check("Max", x, y, [3]float64{hi.X, hi.Y, hi.Z}[i], math.Max(x, y), math.Inf(1))
+			}
+		}
+	}
+}

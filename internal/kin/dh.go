@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/geom"
 )
@@ -30,6 +31,10 @@ type DHLink struct {
 	Radius float64
 	// MinAngle and MaxAngle bound the joint variable (rad).
 	MinAngle, MaxAngle float64
+
+	// cosAlpha and sinAlpha cache the constant twist's trig for stepDH;
+	// Chain.prepare fills them before any FK step.
+	cosAlpha, sinAlpha float64
 }
 
 // Chain is a serial kinematic chain of revolute joints with a fixed base
@@ -45,6 +50,22 @@ type Chain struct {
 	// UR3e is ±0.03 mm; the educational testbed arms are far coarser,
 	// which is the "device precision" row of the paper's Table I.
 	Repeatability float64
+
+	// twistOnce guards the one-time fill of the links' cached twist
+	// trig (prepare); Links must not change after the chain's first use.
+	twistOnce sync.Once
+}
+
+// prepare caches every link's twist cos and sin, once per chain. Every
+// path into stepDH calls it first, so a Chain built as a literal — not
+// only one from NewProfile — never steps with the cache unset.
+func (c *Chain) prepare() {
+	c.twistOnce.Do(func() {
+		for i := range c.Links {
+			l := &c.Links[i]
+			l.sinAlpha, l.cosAlpha = math.Sincos(l.Alpha)
+		}
+	})
 }
 
 // DOF returns the number of joints.
@@ -76,7 +97,7 @@ func (c *Chain) ClampJoints(q []float64) []float64 {
 	for i := range q {
 		v := q[i]
 		if i < len(c.Links) {
-			v = math.Max(c.Links[i].MinAngle, math.Min(c.Links[i].MaxAngle, v))
+			v = max(c.Links[i].MinAngle, min(c.Links[i].MaxAngle, v))
 		}
 		out[i] = v
 	}
@@ -84,11 +105,13 @@ func (c *Chain) ClampJoints(q []float64) []float64 {
 }
 
 // clampJointsInPlace clamps q into joint limits without allocating — the
-// IK iteration's form of ClampJoints.
+// IK iteration's form of ClampJoints. With finite limits the builtin min
+// and max give math.Min and math.Max's results (NaN stays NaN) but are
+// inlined.
 func (c *Chain) clampJointsInPlace(q []float64) {
 	for i := range q {
 		if i < len(c.Links) {
-			q[i] = math.Max(c.Links[i].MinAngle, math.Min(c.Links[i].MaxAngle, q[i]))
+			q[i] = max(c.Links[i].MinAngle, min(c.Links[i].MaxAngle, q[i]))
 		}
 	}
 }
@@ -97,11 +120,12 @@ func (c *Chain) clampJointsInPlace(q []float64) {
 // exactly cur.Compose(l's DH transform at theta): the same products,
 // summed in the same order from zero, so every pose is bit-identical to
 // the composed form — without building the link transform or copying
-// 96-byte poses through the FK loop.
+// 96-byte poses through the FK loop. The twist trig comes from the cache
+// prepare fills, and math.Sincos returns the bits of math.Sin and
+// math.Cos (TestSincosMatchesSinCos), so neither changes a bit.
 func stepDH(cur *geom.Pose, l *DHLink, theta float64) {
-	th := theta + l.Offset
-	ct, st := math.Cos(th), math.Sin(th)
-	ca, sa := math.Cos(l.Alpha), math.Sin(l.Alpha)
+	st, ct := math.Sincos(theta + l.Offset)
+	ca, sa := l.cosAlpha, l.sinAlpha
 	// The link's rotation n and translation (tx, ty, tz).
 	n00, n01, n02 := ct, -st*ca, st*sa
 	n10, n11, n12 := st, ct*ca, -ct*sa
@@ -137,6 +161,7 @@ func (c *Chain) JointOriginsInto(q []float64, pts []geom.Vec3) ([]geom.Vec3, err
 	if len(q) != len(c.Links) {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrDOFMismatch, len(q), len(c.Links))
 	}
+	c.prepare()
 	if cap(pts) < len(c.Links)+1 {
 		pts = make([]geom.Vec3, 0, len(c.Links)+1)
 	}
@@ -155,6 +180,7 @@ func (c *Chain) Forward(q []float64) (geom.Pose, error) {
 	if len(q) != len(c.Links) {
 		return geom.Pose{}, fmt.Errorf("%w: got %d, want %d", ErrDOFMismatch, len(q), len(c.Links))
 	}
+	c.prepare()
 	cur := c.Base
 	for i := range c.Links {
 		stepDH(&cur, &c.Links[i], q[i])

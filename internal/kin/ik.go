@@ -156,12 +156,13 @@ func (c *Chain) Solve(target geom.Vec3, q0 []float64, opt IKOptions) ([]float64,
 // (Jacobian, normal matrix, linear solve, residual, clamp) allocates
 // nothing. One scratch serves all of a Solve call's restarts.
 type ikScratch struct {
-	q   []float64   // current configuration
-	e   []float64   // task residual
-	j   [][]float64 // rows×n Jacobian
-	jjt [][]float64 // rows×rows normal matrix
-	aug [][]float64 // rows×(rows+1) augmented matrix for elimination
-	w   []float64   // linear-solve result
+	q []float64   // current configuration
+	e []float64   // task residual
+	j [][]float64 // rows×n Jacobian
+	// m is the augmented normal system [J·Jᵀ + λ²I | e] (rows ≤ 6),
+	// eliminated in place; w is its solution.
+	m [6][7]float64
+	w [6]float64
 	// The last residual's FK pass, which the Jacobian at the same
 	// configuration reuses: joint frame origins and axes, and the
 	// end-effector pose.
@@ -179,23 +180,19 @@ func newIKScratch(n int, opt IKOptions) *ikScratch {
 		q:    make([]float64, n),
 		e:    make([]float64, rows),
 		j:    make([][]float64, rows),
-		jjt:  make([][]float64, rows),
-		aug:  make([][]float64, rows),
-		w:    make([]float64, rows),
 		orig: make([]geom.Vec3, n),
 		axes: make([]geom.Vec3, n),
 	}
 	for r := 0; r < rows; r++ {
 		sc.j[r] = make([]float64, n)
-		sc.jjt[r] = make([]float64, rows)
-		sc.aug[r] = make([]float64, rows+1)
 	}
 	return sc
 }
 
 // solveFrom iterates DLS from one seed; it returns the best configuration
 // found (aliasing sc.q — callers must copy to retain it), its position
-// residual, and its tool-axis misalignment (rad).
+// residual, and — for a converged descent (position residual ≤ Tol)
+// only, else 0 — its tool-axis misalignment (rad).
 func (c *Chain) solveFrom(target geom.Vec3, seed []float64, opt IKOptions, sc *ikScratch) ([]float64, float64, float64) {
 	n := len(c.Links)
 	q := sc.q
@@ -209,48 +206,59 @@ func (c *Chain) solveFrom(target geom.Vec3, seed []float64, opt IKOptions, sc *i
 	want := opt.ToolAxis.Unit()
 
 	// residual runs the iteration's one FK pass, leaving the frames in sc
-	// for the Jacobian at the same q.
-	residual := func(q []float64) ([]float64, float64, float64) {
+	// for the Jacobian at the same q. It returns the position error and
+	// the cosine of the tool-axis misalignment; axisErr turns that into
+	// an angle only when something reads it.
+	residual := func(q []float64) (float64, float64) {
 		c.framesInto(q, sc)
 		pose := &sc.ee
 		e := sc.e
 		pe := target.Sub(pose.T)
 		e[0], e[1], e[2] = pe.X, pe.Y, pe.Z
-		axErr := 0.0
+		axCos := 0.0
 		if useOrient {
 			axis := pose.R.Col(2)
 			// Least-squares on the axis vector itself: e = want − axis.
 			// (A cross-product formulation has zero gradient when the
 			// axis is exactly anti-parallel to the preference.)
 			diff := want.Sub(axis)
-			axErr = math.Acos(math.Max(-1, math.Min(1, axis.Dot(want))))
+			axCos = axis.Dot(want)
 			e[3] = opt.OrientWeight * diff.X
 			e[4] = opt.OrientWeight * diff.Y
 			e[5] = opt.OrientWeight * diff.Z
 		}
-		return e, pe.Norm(), axErr
+		return pe.Norm(), axCos
+	}
+	axisErr := func(axCos float64) float64 {
+		if !useOrient {
+			return 0
+		}
+		return math.Acos(max(-1, min(1, axCos)))
 	}
 
-	e, posErr, axErr := residual(q)
+	posErr, axCos := residual(q)
 
-	for iter := 0; iter < opt.MaxIters && (posErr > opt.Tol || (useOrient && axErr > 0.05 && iter < opt.MaxIters/2)); iter++ {
+	for iter := 0; iter < opt.MaxIters && (posErr > opt.Tol || (useOrient && iter < opt.MaxIters/2 && axisErr(axCos) > 0.05)); iter++ {
 		j := c.taskJacobianInto(rows, opt.OrientWeight, sc)
-		// dq = Jᵀ (J Jᵀ + λ² I)⁻¹ e
-		jjt := sc.jjt
+		// dq = Jᵀ (J Jᵀ + λ² I)⁻¹ e. J·Jᵀ is symmetric: each product
+		// j[r][k]·j[s][k] commutes exactly and the sum over k keeps its
+		// order, so the upper triangle is computed once and mirrored.
+		m := &sc.m
 		for r := 0; r < rows; r++ {
-			for s := 0; s < rows; s++ {
+			for s := r; s < rows; s++ {
 				var sum float64
 				for k := 0; k < n; k++ {
 					sum += j[r][k] * j[s][k]
 				}
-				jjt[r][s] = sum
+				m[r][s], m[s][r] = sum, sum
 			}
-			jjt[r][r] += lambda2
+			m[r][r] += lambda2
+			m[r][rows] = sc.e[r]
 		}
-		w, ok := solveLinearInto(jjt, e, sc.aug, sc.w)
-		if !ok {
+		if !solveAugmented(m, rows, &sc.w) {
 			break
 		}
+		w := &sc.w
 		for k := 0; k < n; k++ {
 			var dq float64
 			for r := 0; r < rows; r++ {
@@ -259,15 +267,19 @@ func (c *Chain) solveFrom(target geom.Vec3, seed []float64, opt IKOptions, sc *i
 			q[k] += dq
 		}
 		c.clampJointsInPlace(q)
-		e, posErr, axErr = residual(q)
+		posErr, axCos = residual(q)
 	}
-	return q, posErr, axErr
+	if posErr > opt.Tol {
+		return q, posErr, 0
+	}
+	return q, posErr, axisErr(axCos)
 }
 
 // framesInto is the IK's FK pass at q (len(q) == DOF): it records each
 // joint's frame origin and axis (local Z) in sc.orig and sc.axes, and the
 // end-effector pose in sc.ee.
 func (c *Chain) framesInto(q []float64, sc *ikScratch) {
+	c.prepare()
 	sc.ee = c.Base
 	for i := range c.Links {
 		sc.orig[i] = sc.ee.T
@@ -300,16 +312,13 @@ func (c *Chain) taskJacobianInto(rows int, orientWeight float64, sc *ikScratch) 
 	return j
 }
 
-// solveLinearInto solves A·x = b by Gaussian elimination with partial
-// pivoting, writing the augmented matrix into m (n rows of n+1) and the
-// solution into x — allocation-free for the IK iteration. A is
-// untouched; ok is false when A is singular.
-func solveLinearInto(a [][]float64, b []float64, m [][]float64, x []float64) ([]float64, bool) {
-	n := len(a)
-	for i := range a {
-		copy(m[i], a[i])
-		m[i][n] = b[i]
-	}
+// solveAugmented solves the n×n system held in the augmented matrix m
+// (column n is the right-hand side) by Gaussian elimination with partial
+// pivoting, in place, writing the solution into x[:n]. It returns false
+// when the system is singular. The pivot rule and every operation follow
+// the slice-based solver it replaced in the same order, so the solution
+// is bit-identical (TestSolveAugmentedMatchesSliceSolver).
+func solveAugmented(m *[6][7]float64, n int, x *[6]float64) bool {
 	for col := 0; col < n; col++ {
 		// Pivot.
 		piv := col
@@ -319,7 +328,7 @@ func solveLinearInto(a [][]float64, b []float64, m [][]float64, x []float64) ([]
 			}
 		}
 		if math.Abs(m[piv][col]) < 1e-15 {
-			return nil, false
+			return false
 		}
 		m[col], m[piv] = m[piv], m[col]
 		for r := col + 1; r < n; r++ {
@@ -336,5 +345,5 @@ func solveLinearInto(a [][]float64, b []float64, m [][]float64, x []float64) ([]
 		}
 		x[r] = sum / m[r][r]
 	}
-	return x, true
+	return true
 }

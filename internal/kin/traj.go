@@ -117,16 +117,20 @@ type Sweep struct {
 // end-effector stub, whose segment endpoints are the TCP position.
 func (s *Sweep) CapsulesAt(tr *Trajectory, t float64) ([]geom.Capsule, error) {
 	s.q = tr.AtInto(t, s.q)
-	pts, err := tr.Chain.JointOriginsInto(s.q, s.pts)
+	return s.LinkCapsules(tr.Chain, s.q)
+}
+
+// LinkCapsules returns c's collision capsules at configuration q,
+// reusing the workspace's buffers: Chain.LinkCapsules without
+// allocating once they have grown. The returned slice is only valid
+// until the workspace's next call.
+func (s *Sweep) LinkCapsules(c *Chain, q []float64) ([]geom.Capsule, error) {
+	caps, err := s.linkCapsulesInto(c, q, s.caps[:0])
 	if err != nil {
 		return nil, err
 	}
-	s.pts = pts
-	if cap(s.caps) < len(pts) {
-		s.caps = make([]geom.Capsule, 0, len(pts))
-	}
-	s.caps = tr.Chain.linkCapsulesFrom(pts, s.caps[:0])
-	return s.caps, nil
+	s.caps = caps
+	return caps, nil
 }
 
 // CapsulesAtInto appends the chain's collision capsules at trajectory
@@ -135,12 +139,18 @@ func (s *Sweep) CapsulesAt(tr *Trajectory, t float64) ([]geom.Capsule, error) {
 // flat slice (see SweepBatch) instead of aliasing the workspace buffer.
 func (s *Sweep) CapsulesAtInto(tr *Trajectory, t float64, dst []geom.Capsule) ([]geom.Capsule, error) {
 	s.q = tr.AtInto(t, s.q)
-	pts, err := tr.Chain.JointOriginsInto(s.q, s.pts)
+	return s.linkCapsulesInto(tr.Chain, s.q, dst)
+}
+
+// linkCapsulesInto appends c's collision capsules at configuration q to
+// dst and returns it.
+func (s *Sweep) linkCapsulesInto(c *Chain, q []float64, dst []geom.Capsule) ([]geom.Capsule, error) {
+	pts, err := c.JointOriginsInto(q, s.pts)
 	if err != nil {
 		return dst, err
 	}
 	s.pts = pts
-	return tr.Chain.linkCapsulesFrom(pts, dst), nil
+	return c.linkCapsulesFrom(pts, dst), nil
 }
 
 // SweepBatch accumulates a whole trajectory's collision volume in SoA

@@ -108,6 +108,9 @@ func (s Span) End() time.Duration {
 	return d
 }
 
+// Started returns the span's start time.
+func (s Span) Started() time.Time { return s.start }
+
 // EndAt closes the span at an externally measured end time — for stages
 // whose boundary timestamp is shared with the next stage, saving a clock
 // read.

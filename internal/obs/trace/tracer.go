@@ -90,12 +90,72 @@ type Options struct {
 	Obs *obs.Registry
 }
 
-// activeTrace is one open trace: a bounded span ring plus the alert flag.
+// spanChunk is the allocation unit of a trace's span buffer. Spans
+// fill fixed-size chunks, so publishing one never copies the spans
+// before it (a growing slice would, under the trace's lock).
+const spanChunk = 64
+
+// chunkPool recycles span chunks. Once a trace closes, its spans have
+// been copied out (retained) or discarded (sampled out or evicted), so
+// its chunks can hold the next traces' spans: most traces are sampled
+// out, and their spans would otherwise be garbage.
+var chunkPool = sync.Pool{New: func() any { return new([spanChunk]SpanData) }}
+
+// activeTrace is one open trace: a bounded span ring plus the alert
+// flag. Its own mutex serializes publication into it, so traces opened
+// by different interceptors never contend.
 type activeTrace struct {
-	spans   []SpanData
-	next    int // ring cursor once len(spans) == max
+	mu      sync.Mutex
+	closed  bool // finished or evicted: later spans are dropped
+	chunks  []*[spanChunk]SpanData
+	n       int // spans held, at most the tracer's maxSpans
+	next    int // ring cursor once n == maxSpans
 	dropped int
 	alert   bool
+}
+
+// slot returns the storage for the span at ring index i.
+func (at *activeTrace) slot(i int) *SpanData { return &at.chunks[i/spanChunk][i%spanChunk] }
+
+// put stores sd, overwriting the oldest span once max are held.
+func (at *activeTrace) put(sd *SpanData, max int) {
+	if at.n < max {
+		if at.n%spanChunk == 0 {
+			at.chunks = append(at.chunks, chunkPool.Get().(*[spanChunk]SpanData))
+		}
+		*at.slot(at.n) = *sd
+		at.n++
+		return
+	}
+	*at.slot(at.next) = *sd
+	at.next = (at.next + 1) % max
+	at.dropped++
+}
+
+// close marks the trace closed, so later spans are dropped, and returns
+// its chunks to the pool, cleared so they pin no span's strings.
+// Callers hold at.mu and have copied out whatever they keep.
+func (at *activeTrace) close() {
+	at.closed = true
+	for _, c := range at.chunks {
+		clear(c[:])
+		chunkPool.Put(c)
+	}
+	at.chunks = nil
+}
+
+// ordered copies out the held spans in insertion order (nil when none
+// was published). Callers hold at.mu.
+func (at *activeTrace) ordered() []SpanData {
+	if at.n == 0 {
+		return nil
+	}
+	spans := make([]SpanData, 0, at.n)
+	// Unwrap the ring: the oldest held span sits at the cursor.
+	for i := range at.n {
+		spans = append(spans, *at.slot((at.next + i) % at.n))
+	}
+	return spans
 }
 
 // bindKey identifies a command in flight: the interceptor binds the
@@ -125,11 +185,14 @@ type Tracer struct {
 	idState  atomic.Uint64
 	rngState atomic.Uint64
 
-	mu       sync.Mutex
+	// mu guards the trace tables; span publication takes it only for
+	// reading, to find its trace. bindMu guards the binding registry.
+	mu       sync.RWMutex
 	active   map[TraceID]*activeTrace
 	order    []TraceID // active traces, oldest first
-	bindings map[bindKey]SpanContext
 	retained []*TraceData
+	bindMu   sync.Mutex
+	bindings map[bindKey]SpanContext
 
 	exportErr atomic.Value // error
 
@@ -241,8 +304,11 @@ func (t *Tracer) adopt(id TraceID) {
 			oldest := t.order[0]
 			t.order = t.order[1:]
 			if at, ok := t.active[oldest]; ok {
-				t.cSpansDropped.Add(int64(len(at.spans) + at.dropped))
 				delete(t.active, oldest)
+				at.mu.Lock()
+				at.close()
+				t.cSpansDropped.Add(int64(at.n + at.dropped))
+				at.mu.Unlock()
 			}
 		}
 	}
@@ -324,6 +390,10 @@ func (s *Span) SetAttr(key, val string) {
 			return
 		}
 	}
+	if s.data.Attrs == nil {
+		// Room for an interception root's attributes in one allocation.
+		s.data.Attrs = make([]Attr, 0, 4)
+	}
 	s.data.Attrs = append(s.data.Attrs, Attr{Key: key, Val: val})
 }
 
@@ -368,26 +438,49 @@ func (s *Span) EndAt(at time.Time) {
 	s.t.append(&s.data)
 }
 
-// append publishes a finished span into its trace's bounded ring.
-func (t *Tracer) append(sd *SpanData) {
-	t.mu.Lock()
-	at, ok := t.active[sd.Trace]
-	if !ok {
-		t.mu.Unlock()
-		t.cSpansDropped.Inc() // trace already finished or evicted
+// Emit publishes a finished span over [start, end] under parent; errMsg
+// "" is OK status. It is StartSpanAt plus EndAt for callers that already
+// hold both timestamps, without allocating. An invalid parent or nil
+// tracer no-ops.
+func (t *Tracer) Emit(parent SpanContext, name string, start, end time.Time, errMsg string) {
+	if t == nil || !parent.Valid() {
 		return
 	}
-	if sd.Alert {
-		at.alert = true
+	t.append(&SpanData{
+		Trace:  parent.Trace,
+		Span:   t.newSpanID(),
+		Parent: parent.Span,
+		Name:   name,
+		Start:  start,
+		End:    end,
+		Err:    errMsg,
+	})
+}
+
+// lookup returns the open trace id, or nil.
+func (t *Tracer) lookup(id TraceID) *activeTrace {
+	t.mu.RLock()
+	at := t.active[id]
+	t.mu.RUnlock()
+	return at
+}
+
+// append publishes a finished span into its trace's bounded ring.
+func (t *Tracer) append(sd *SpanData) {
+	at := t.lookup(sd.Trace)
+	if at != nil {
+		at.mu.Lock()
+		if !at.closed {
+			if sd.Alert {
+				at.alert = true
+			}
+			at.put(sd, t.maxSpans)
+			at.mu.Unlock()
+			return
+		}
+		at.mu.Unlock()
 	}
-	if len(at.spans) < t.maxSpans {
-		at.spans = append(at.spans, *sd)
-	} else {
-		at.spans[at.next] = *sd
-		at.next = (at.next + 1) % t.maxSpans
-		at.dropped++
-	}
-	t.mu.Unlock()
+	t.cSpansDropped.Inc() // trace already finished or evicted
 }
 
 // MarkAlert pins a whole trace for retention without going through a
@@ -396,11 +489,11 @@ func (t *Tracer) MarkAlert(id TraceID) {
 	if t == nil || id.IsZero() {
 		return
 	}
-	t.mu.Lock()
-	if at, ok := t.active[id]; ok {
+	if at := t.lookup(id); at != nil {
+		at.mu.Lock()
 		at.alert = true
+		at.mu.Unlock()
 	}
-	t.mu.Unlock()
 }
 
 // Bind registers the root span context for a command in flight, keyed
@@ -409,9 +502,9 @@ func (t *Tracer) Bind(device string, seq int, ctx SpanContext) {
 	if t == nil || !ctx.Valid() {
 		return
 	}
-	t.mu.Lock()
+	t.bindMu.Lock()
 	t.bindings[bindKey{device, seq}] = ctx
-	t.mu.Unlock()
+	t.bindMu.Unlock()
 }
 
 // Unbind removes a command's binding.
@@ -419,9 +512,9 @@ func (t *Tracer) Unbind(device string, seq int) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
+	t.bindMu.Lock()
 	delete(t.bindings, bindKey{device, seq})
-	t.mu.Unlock()
+	t.bindMu.Unlock()
 }
 
 // Bound returns the span context bound for a command (zero when none).
@@ -429,9 +522,9 @@ func (t *Tracer) Bound(device string, seq int) SpanContext {
 	if t == nil {
 		return SpanContext{}
 	}
-	t.mu.Lock()
+	t.bindMu.Lock()
 	ctx := t.bindings[bindKey{device, seq}]
-	t.mu.Unlock()
+	t.bindMu.Unlock()
 	return ctx
 }
 
@@ -457,18 +550,22 @@ func (t *Tracer) FinishTrace(id TraceID) bool {
 			break
 		}
 	}
-	retain := at.alert || t.sample()
+	// The decision and the close are one step under at.mu: a span
+	// published before it counts, a later one finds the trace closed and
+	// is dropped.
+	at.mu.Lock()
+	td := &TraceData{ID: id, Alert: at.alert, Dropped: at.dropped}
+	retain := td.Alert || t.sample()
+	if retain {
+		td.Spans = at.ordered()
+	}
+	at.close()
+	at.mu.Unlock()
 	if !retain {
 		t.mu.Unlock()
 		t.cSampledOut.Inc()
 		return false
 	}
-	spans := at.spans
-	if at.dropped > 0 {
-		// Unwrap the ring into chronological insertion order.
-		spans = append(append([]SpanData(nil), at.spans[at.next:]...), at.spans[:at.next]...)
-	}
-	td := &TraceData{ID: id, Alert: at.alert, Dropped: at.dropped, Spans: spans}
 	sort.SliceStable(td.Spans, func(i, j int) bool { return td.Spans[i].Start.Before(td.Spans[j].Start) })
 	t.retained = append(t.retained, td)
 	for len(t.retained) > t.maxRetained {
@@ -476,7 +573,7 @@ func (t *Tracer) FinishTrace(id TraceID) bool {
 	}
 	t.mu.Unlock()
 	t.cRetained.Inc()
-	t.cSpansDropped.Add(int64(at.dropped))
+	t.cSpansDropped.Add(int64(td.Dropped))
 	if t.exporter != nil {
 		if err := t.exporter.ExportTrace(td); err != nil {
 			t.exportErr.Store(err)
@@ -504,8 +601,8 @@ func (t *Tracer) Retained() []*TraceData {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	return append([]*TraceData(nil), t.retained...)
 }
 
@@ -514,8 +611,8 @@ func (t *Tracer) Find(id TraceID) *TraceData {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	for _, td := range t.retained {
 		if td.ID == id {
 			return td
@@ -529,8 +626,8 @@ func (t *Tracer) ActiveCount() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	return len(t.active)
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -174,6 +175,109 @@ func TestSpanRingBound(t *testing.T) {
 	orphan.End()
 	if got := reg.Snapshot().Counter(obs.CounterTraceSpansDropped); got != 14 {
 		t.Errorf("late span not counted dropped: %d", got)
+	}
+}
+
+// The span ring keeps the latest MaxSpans spans in insertion order
+// whatever the bound's alignment to the buffer's chunks.
+func TestSpanRingAcrossChunks(t *testing.T) {
+	t0 := time.Unix(1700000000, 0)
+	for _, max := range []int{spanChunk, 100, 2*spanChunk + 1} {
+		for _, n := range []int{0, 1, spanChunk - 1, spanChunk, spanChunk + 1, 2 * spanChunk, 250} {
+			reg := obs.NewRegistry("chunk-test")
+			tr := NewTracer(Options{SampleRate: 1, MaxSpans: max, Seed: 3, Obs: reg})
+			id := tr.StartTrace()
+			parent := SpanContext{Trace: id, Span: SpanID{1}}
+			// One start time for all: FinishTrace's stable sort by start
+			// then keeps the ring's unwrapped order as it is.
+			for i := 0; i < n; i++ {
+				tr.Emit(parent, fmt.Sprintf("span%03d", i), t0, t0.Add(time.Nanosecond), "")
+			}
+			if !tr.FinishTrace(id) {
+				t.Fatal("trace dropped at rate 1")
+			}
+			td := tr.Find(id)
+			kept := min(n, max)
+			if len(td.Spans) != kept || td.Dropped != n-kept {
+				t.Fatalf("max %d, %d spans: kept %d dropped %d, want %d and %d", max, n, len(td.Spans), td.Dropped, kept, n-kept)
+			}
+			for j, sd := range td.Spans {
+				if want := fmt.Sprintf("span%03d", n-kept+j); sd.Name != want {
+					t.Fatalf("max %d, %d spans: span %d is %s, want %s", max, n, j, sd.Name, want)
+				}
+			}
+			if got := reg.Snapshot().Counter(obs.CounterTraceSpansDropped); got != int64(n-kept) {
+				t.Fatalf("max %d, %d spans: dropped counter %d, want %d", max, n, got, n-kept)
+			}
+		}
+	}
+}
+
+// Spans published while their trace finishes are either in the
+// retained trace or counted dropped — never both, never lost.
+func TestSpanPublishRacesFinish(t *testing.T) {
+	const writers, perWriter = 4, 500
+	for round := 0; round < 20; round++ {
+		reg := obs.NewRegistry("race-test")
+		tr := NewTracer(Options{SampleRate: 1, Seed: int64(round + 1), Obs: reg})
+		id := tr.StartTrace()
+		parent := SpanContext{Trace: id, Span: SpanID{1}}
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					if i%2 == 0 {
+						tr.Emit(parent, "emit", time.Time{}, time.Time{}, "")
+					} else {
+						tr.StartSpan(parent, "span").End()
+					}
+				}
+			}()
+		}
+		time.Sleep(time.Duration(round) * 20 * time.Microsecond)
+		tr.FinishTrace(id)
+		wg.Wait()
+		kept := 0
+		if td := tr.Find(id); td != nil {
+			kept = len(td.Spans)
+		}
+		dropped := reg.Snapshot().Counter(obs.CounterTraceSpansDropped)
+		if kept+int(dropped) != writers*perWriter {
+			t.Fatalf("round %d: %d kept + %d dropped != %d published", round, kept, dropped, writers*perWriter)
+		}
+	}
+}
+
+// Emit is StartSpanAt, SetError and EndAt in one call: the same span
+// data, only the drawn span ID differs.
+func TestEmitMatchesStartEnd(t *testing.T) {
+	tr := NewTracer(Options{SampleRate: 1, Seed: 4})
+	id := tr.StartTrace()
+	parent := SpanContext{Trace: id, Span: SpanID{7}}
+	from := time.Unix(1700000000, 5)
+	to := from.Add(3 * time.Millisecond)
+	s := tr.StartSpanAt(parent, "execute", from)
+	s.SetError("boom")
+	s.EndAt(to)
+	tr.Emit(parent, "execute", from.Add(time.Nanosecond), to, "boom")
+	tr.Emit(SpanContext{}, "orphan", from, to, "") // invalid parent: no-op
+	var nilTr *Tracer
+	nilTr.Emit(parent, "x", from, to, "")
+	tr.FinishTrace(id)
+	spans := tr.Find(id).Spans
+	if len(spans) != 2 {
+		t.Fatalf("%d spans, want 2", len(spans))
+	}
+	a, b := spans[0], spans[1]
+	if a.Span == b.Span || b.Span.IsZero() {
+		t.Fatalf("span IDs %v and %v not distinct and valid", a.Span, b.Span)
+	}
+	a.Span, b.Span = SpanID{}, SpanID{}
+	b.Start = b.Start.Add(-time.Nanosecond)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("Emit gave %+v, StartSpanAt/EndAt %+v", b, a)
 	}
 }
 

@@ -192,6 +192,21 @@ func (i *Interceptor) rootSpan(cmd action.Command) *otrace.Span {
 	return s
 }
 
+// endExecute closes the execute stage from one clock read: its latency
+// histogram span and, when traced, the execute span under root, with
+// err as its status. Returns the stage's duration in nanoseconds.
+func (i *Interceptor) endExecute(sp obs.Span, root *otrace.Span, err error) int64 {
+	end := time.Now()
+	if root != nil {
+		msg := ""
+		if err != nil {
+			msg = err.Error()
+		}
+		i.tracer.Emit(root.Context(), obs.StageExecute, sp.Started(), end, msg)
+	}
+	return sp.EndAt(end).Nanoseconds()
+}
+
 // outcomeKey names one cached outcome counter: device "" is the total.
 type outcomeKey struct{ device, outcome string }
 
@@ -296,13 +311,8 @@ func (i *Interceptor) do(cmd, next action.Command, lookahead bool) (err error) {
 		}
 	}
 	spanExec := i.hExecute.Start()
-	execSpan := i.tracer.StartSpan(root.Context(), obs.StageExecute)
 	execErr := i.executor.Execute(cmd)
-	if execErr != nil {
-		execSpan.SetError(execErr.Error())
-	}
-	execSpan.End()
-	i.lastExecNS = spanExec.End().Nanoseconds()
+	i.lastExecNS = i.endExecute(spanExec, root, execErr)
 	if err := execErr; err != nil {
 		i.record(cmd, "error", err.Error())
 		// The checker still observes the aftermath: a physical crash is
@@ -401,13 +411,8 @@ func (i *Interceptor) DoConcurrent(cmds []action.Command) (err error) {
 	}
 	last := stamped[len(stamped)-1]
 	spanExec := i.hExecute.Start()
-	execSpan := i.tracer.StartSpan(root.Context(), obs.StageExecute)
 	execErr := ce.ExecuteConcurrent(stamped)
-	if execErr != nil {
-		execSpan.SetError(execErr.Error())
-	}
-	execSpan.End()
-	i.lastExecNS = spanExec.End().Nanoseconds()
+	i.lastExecNS = i.endExecute(spanExec, root, execErr)
 	if err := execErr; err != nil {
 		for _, cmd := range stamped {
 			i.record(cmd, "error", err.Error())

@@ -194,20 +194,22 @@ func (a *Arm) appendVolume(dst []labeledCapsule, links []geom.Capsule, roll floa
 	return dst
 }
 
-// labeledCapsulesAt returns the labelled collision volume for an arbitrary
-// joint configuration and roll, including the held object (if any).
-func (w *World) labeledCapsulesAt(a *Arm, joints []float64, roll float64) ([]labeledCapsule, error) {
-	links, err := a.Profile.Chain.LinkCapsules(joints)
+// labeledCapsulesAt appends to dst the labelled collision volume for an
+// arbitrary joint configuration and roll, including the held object (if
+// any), and returns it; on error dst comes back unchanged. sw is the
+// forward-kinematics workspace.
+func (w *World) labeledCapsulesAt(dst []labeledCapsule, sw *kin.Sweep, a *Arm, joints []float64, roll float64) ([]labeledCapsule, error) {
+	links, err := sw.LinkCapsules(a.Profile.Chain, joints)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	return a.appendVolume(make([]labeledCapsule, 0, len(links)+2), links, roll, w.heldVolumeLocked(a)), nil
+	return a.appendVolume(dst, links, roll, w.heldVolumeLocked(a)), nil
 }
 
 // sweepVolume samples one arm's labelled collision volume along a
 // trajectory: one forward-kinematics pass per sample, into buffers that
-// are reused from sample to sample. It must not outlive the world lock
-// it was made under.
+// are reused from sample to sample. It is used only under the world
+// lock.
 type sweepVolume struct {
 	arm   *Arm
 	tr    *kin.Trajectory

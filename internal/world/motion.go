@@ -156,7 +156,7 @@ func (w *World) MoveArmsConcurrently(moves []ConcurrentMove) error {
 	// Obstacles are static for the whole sweep; assemble them per leg once.
 	legObstacles := make([][]obstacle, len(legs))
 	for li, l := range legs {
-		legObstacles[li] = w.obstaclesLocked(l.arm, l.mv.Opts, moving)
+		legObstacles[li] = w.obstaclesLocked(nil, l.arm, l.mv.Opts, moving)
 	}
 	allCaps := make([][]labeledCapsule, len(legs))
 	allBounds := make([][]geom.AABB, len(legs))
@@ -279,9 +279,13 @@ func (w *World) finishMoveLocked(a *Arm, tr *kin.Trajectory, opts MoveOptions, c
 // test. Bounds include the capsule radius, so the prepass can only skip
 // pairs the narrow phase would reject — verdicts are unchanged.
 func (w *World) sweepLocked(a *Arm, tr *kin.Trajectory, opts MoveOptions, extraIgnore map[string]bool) error {
-	obstacles := w.obstaclesLocked(a, opts, extraIgnore)
+	sc := &w.sweepScratch
+	sc.obstacles = w.obstaclesLocked(sc.obstacles[:0], a, opts, extraIgnore)
+	obstacles := sc.obstacles
 	others := w.parkedArmsLocked(a, extraIgnore)
-	vol := sweepVolume{arm: a, tr: tr, roll: opts.Roll, held: w.heldVolumeLocked(a)}
+	vol := &sc.vol
+	vol.arm, vol.tr, vol.roll, vol.held = a, tr, opts.Roll, w.heldVolumeLocked(a)
+	defer sc.release()
 	var scratch [24]geom.AABB
 	n := tr.SampleCount(sweepStep)
 	for i := 0; i <= n; i++ {
@@ -312,6 +316,27 @@ func (w *World) sweepLocked(a *Arm, tr *kin.Trajectory, opts MoveOptions, extraI
 	return nil
 }
 
+// sweepScratch is sweepLocked's working memory, kept by the world and
+// reused from move to move so that a sweep allocates nothing once its
+// buffers have grown. Only sweepLocked uses it, under mu;
+// MoveArmsConcurrently keeps per-leg buffers of its own.
+type sweepScratch struct {
+	vol        sweepVolume
+	obstacles  []obstacle
+	ids        []string
+	parked     []parkedArm
+	parkedCaps []labeledCapsule // every parked arm's volume, back to back
+}
+
+// release drops the finished sweep's references to the trajectory, the
+// arms and the obstacles, so that between moves the scratch holds only
+// buffers.
+func (sc *sweepScratch) release() {
+	sc.vol.arm, sc.vol.tr = nil, nil
+	clear(sc.obstacles)
+	clear(sc.parked)
+}
+
 // parkedArm is a stationary arm's collision volume, solved once per sweep.
 type parkedArm struct {
 	arm    *Arm
@@ -320,10 +345,12 @@ type parkedArm struct {
 }
 
 // parkedArmsLocked solves the stationary arms' capsules for a sweep by
-// the moving arm. Sorted by ID so collision attribution doesn't depend
-// on map iteration order.
+// the moving arm into the world's sweep scratch; the result is valid
+// until the next call. Sorted by ID so collision attribution doesn't
+// depend on map iteration order.
 func (w *World) parkedArmsLocked(moving *Arm, skip map[string]bool) []parkedArm {
-	ids := make([]string, 0, len(w.arms))
+	sc := &w.sweepScratch
+	ids := sc.ids[:0]
 	for id := range w.arms {
 		if id == moving.ID || (skip != nil && skip[id]) {
 			continue
@@ -331,16 +358,22 @@ func (w *World) parkedArmsLocked(moving *Arm, skip map[string]bool) []parkedArm 
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	out := make([]parkedArm, 0, len(ids))
+	sc.ids = ids
+	out, all := sc.parked[:0], sc.parkedCaps[:0]
 	for _, id := range ids {
 		other := w.arms[id]
-		caps, err := w.labeledCapsulesAt(other, other.Joints, other.Roll)
+		start := len(all)
+		var err error
+		all, err = w.labeledCapsulesAt(all, &sc.vol.sweep, other, other.Joints, other.Roll)
 		if err != nil {
 			continue
 		}
-		_, b := capsuleBounds(caps, nil)
-		out = append(out, parkedArm{arm: other, caps: caps, bounds: b})
+		// A later append may move all; caps keeps the earlier array,
+		// whose elements are never written again.
+		caps := all[start:]
+		out = append(out, parkedArm{arm: other, caps: caps, bounds: unionBound(caps)})
 	}
+	sc.parked, sc.parkedCaps = out, all
 	return out
 }
 
@@ -360,13 +393,26 @@ func capsuleBounds(caps []labeledCapsule, dst []geom.AABB) ([]geom.AABB, geom.AA
 	return dst, u
 }
 
-// obstaclesLocked assembles the static collision volumes relevant to a
-// move by the given arm: fixture bodies (door-aware), and resting objects
-// not explicitly ignored. Arms in the skip set are excluded (they are
-// handled as moving bodies by the concurrent sweep).
-func (w *World) obstaclesLocked(a *Arm, opts MoveOptions, skipArms map[string]bool) []obstacle {
+// unionBound is the union of the capsules' bounds: capsuleBounds's
+// second result without the per-capsule slice.
+func unionBound(caps []labeledCapsule) geom.AABB {
+	var u geom.AABB
+	for i, lc := range caps {
+		if b := lc.cap.Bounds(); i == 0 {
+			u = b
+		} else {
+			u = u.Union(b)
+		}
+	}
+	return u
+}
+
+// obstaclesLocked appends to obs the static collision volumes relevant
+// to a move by the given arm: fixture bodies (door-aware), and resting
+// objects not explicitly ignored. Arms in the skip set are excluded
+// (they are handled as moving bodies by the concurrent sweep).
+func (w *World) obstaclesLocked(obs []obstacle, a *Arm, opts MoveOptions, skipArms map[string]bool) []obstacle {
 	_ = skipArms // arm bodies are checked capsule-to-capsule, not as boxes
-	var obs []obstacle
 	ignore := make(map[string]bool, len(opts.IgnoreObjects))
 	for _, id := range opts.IgnoreObjects {
 		ignore[id] = true
@@ -604,7 +650,7 @@ func (w *World) ArmReachesInto(armID, fixtureID string) (bool, error) {
 	if slab, ok := f.doorSlab(); ok {
 		zone = zone.Union(slab)
 	}
-	caps, err := w.labeledCapsulesAt(a, a.Joints, a.Roll)
+	caps, err := w.labeledCapsulesAt(nil, new(kin.Sweep), a, a.Joints, a.Roll)
 	if err != nil {
 		return false, err
 	}

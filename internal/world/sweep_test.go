@@ -76,7 +76,7 @@ func refMoveArmTo(w *World, armID string, target geom.Vec3, opts MoveOptions) er
 	if err != nil {
 		return fmt.Errorf("world: arm %s cannot reach %v: %w", armID, target, err)
 	}
-	obstacles := w.obstaclesLocked(a, opts, nil)
+	obstacles := w.obstaclesLocked(nil, a, opts, nil)
 	others := refParkedLocked(w, a)
 	n := tr.SampleCount(sweepStep)
 	for i := 0; i <= n; i++ {
@@ -143,7 +143,7 @@ func refMoveArmsConcurrently(w *World, moves []ConcurrentMove) error {
 		}
 		for li, l := range legs {
 			capBounds, _ := capsuleBounds(allCaps[li], nil)
-			ev, hit := w.checkCapsulesLocked(l.arm, allCaps[li], capBounds, w.obstaclesLocked(l.arm, l.mv.Opts, moving))
+			ev, hit := w.checkCapsulesLocked(l.arm, allCaps[li], capBounds, w.obstaclesLocked(nil, l.arm, l.mv.Opts, moving))
 			for lj := range legs {
 				if !hit && lj != li {
 					ev, hit = w.checkArmArmLocked(l.arm, allCaps[li], legs[lj].arm, allCaps[lj])

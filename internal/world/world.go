@@ -152,6 +152,8 @@ type World struct {
 	// exactMotion on (noisy targets never repeat, so keys would only
 	// churn the LRU).
 	planCache *kin.PlanCache
+	// sweepScratch is sweepLocked's reusable working memory.
+	sweepScratch sweepScratch
 }
 
 // SetExactMotion toggles repeatability noise off (true) or on (false).
