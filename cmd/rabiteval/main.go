@@ -565,6 +565,10 @@ func campaignRun(n int, seed uint64, workers int, jsonPath, incidentDir string) 
 		return err
 	}
 	fmt.Printf("pooled   n=%-7d workers=%d: %8.1f scen/s\n", n, workers, pooled.ScenariosPerSec)
+	if m := pooled.SweepMemo; m.Hits+m.Misses > 0 {
+		fmt.Printf("world sweeps answered by the clean-sweep memo: %d of %d (%.1f%%)\n",
+			m.Hits, m.Hits+m.Misses, 100*float64(m.Hits)/float64(m.Hits+m.Misses))
+	}
 
 	nCal := min(n, 1000)
 	naive, err := campaign.Run(campaign.Options{N: nCal, Seed: seed, Workers: workers, Naive: true})

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/world"
 )
 
 // testGen builds one generator (3 labs x 1 variant) shared by the
@@ -57,7 +59,7 @@ func hotplateTask(temp float64) []Task {
 // the world recorded damage.
 func oracleVerdict(t *testing.T, sc *Scenario) bool {
 	t.Helper()
-	unsafe, _, _, _ := runOracle(sc, nil)
+	unsafe, _, _, _ := runOracle(sc, nil, nil)
 	return unsafe
 }
 
@@ -243,5 +245,104 @@ func TestCampaignRaceSmall(t *testing.T) {
 	}
 	if got := s.Totals().Scenarios; got != 24 {
 		t.Errorf("ran %d scenarios, want 24", got)
+	}
+}
+
+// TestCampaignSweepMemo: a pooled run answers world sweeps from the
+// decks' sweep memos and reports it; a naive run installs no memo, so
+// every deck's memo stays untouched and the summary reports none.
+func TestCampaignSweepMemo(t *testing.T) {
+	pooled, err := Run(Options{N: 24, Seed: 5, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := pooled.SweepMemo; st.Hits == 0 || st.Misses == 0 {
+		t.Errorf("pooled run: sweep memo %+v, want hits and misses", st)
+	}
+
+	o := Options{N: 8, Seed: 5, Workers: 2, Naive: true}
+	gen, err := NewGenerator(o.Seed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtimes := newRuntimes(gen, "")
+	naive := run(o, gen, runtimes)
+	if naive.SweepMemo != (world.SweepMemoStats{}) {
+		t.Errorf("naive run reports sweep memo %+v", naive.SweepMemo)
+	}
+	for _, rt := range runtimes {
+		if st := rt.worldSweeps.Stats(); st != (world.SweepMemoStats{}) {
+			t.Errorf("naive run used a deck's sweep memo: %+v", st)
+		}
+	}
+}
+
+// runtimesWithSweepMemo builds gen's deck runtimes with sweep memos
+// bounded by capacity.
+func runtimesWithSweepMemo(gen *Generator, capacity int) map[*Deck]*deckRuntime {
+	runtimes := newRuntimes(gen, "")
+	for _, rt := range runtimes {
+		rt.worldSweeps = world.NewSweepMemo(capacity)
+	}
+	return runtimes
+}
+
+// TestSweepMemoEvictionMatchesNaive: with a memo bound far below the
+// working set, the memos are cleared over and over, and the pooled run
+// still classifies every scenario as the naive baseline does.
+func TestSweepMemoEvictionMatchesNaive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	o := Options{N: 60, Seed: 11, Workers: 4}
+	gen, err := NewGenerator(o.Seed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled := run(o, gen, runtimesWithSweepMemo(gen, 8))
+	if pooled.SweepMemo.Evictions == 0 || pooled.SweepMemo.Hits == 0 {
+		t.Fatalf("sweep memo %+v: the bound must evict and the memo still hit", pooled.SweepMemo)
+	}
+	o.Naive = true
+	naive, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := strings.Replace(pooled.Counts(), "naive=false", "naive=?", 1)
+	n := strings.Replace(naive.Counts(), "naive=true", "naive=?", 1)
+	if p != n {
+		t.Errorf("pooled run with a tiny sweep memo and naive run disagree:\npooled:\n%s\nnaive:\n%s", pooled.Counts(), naive.Counts())
+	}
+}
+
+// TestSweepMemoBoundedAcrossRounds: ten rounds on the same deck
+// runtimes never leave a deck's memo above its bound of entries or of
+// interned sets, and every round classifies its scenarios the same.
+func TestSweepMemoBoundedAcrossRounds(t *testing.T) {
+	const capacity = 16
+	o := Options{N: 16, Seed: 9, Workers: 2}
+	gen := testGen(t)
+	runtimes := runtimesWithSweepMemo(gen, capacity)
+	var first string
+	for round := 0; round < 10; round++ {
+		s := run(o, gen, runtimes)
+		if round == 0 {
+			first = s.Counts()
+		} else if s.Counts() != first {
+			t.Fatalf("round %d:\n%s\nround 0:\n%s", round, s.Counts(), first)
+		}
+		for _, rt := range runtimes {
+			if entries, sets := rt.worldSweeps.Len(); entries > capacity || sets > capacity/4 {
+				t.Fatalf("round %d: a deck's memo holds %d entries and %d sets, bounds %d and %d",
+					round, entries, sets, capacity, capacity/4)
+			}
+		}
+	}
+	var st world.SweepMemoStats
+	for _, rt := range runtimes {
+		st.Add(rt.worldSweeps.Stats())
+	}
+	if st.Evictions == 0 {
+		t.Fatalf("sweep memos %+v: the rounds never reached the bound", st)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/kin"
 	"repro/internal/obs/recorder"
 	"repro/internal/sim"
+	"repro/internal/world"
 )
 
 // stackRecorderDepth sizes each pooled flight-recorder ring. Campaign
@@ -38,17 +39,20 @@ const planCacheCapacity = 8192
 
 // deckRuntime owns the stack pool for one deck variant. sync.Pool gives
 // work-stealing workers lock-free reuse and lets idle stacks be collected
-// under memory pressure. The two shared plan caches are the pooled
-// runner's cross-scenario levers: worldPlans memoizes the ground-truth
-// worlds' motion plans (oracle and protected replays on the same deck
-// re-solve the same quantized moves endlessly), simPlans the extended
-// simulator's validation plans.
+// under memory pressure. The two shared plan caches and the sweep memo
+// are the pooled runner's cross-scenario levers: worldPlans memoizes the
+// ground-truth worlds' motion plans (oracle and protected replays on the
+// same deck re-solve the same quantized moves endlessly), simPlans the
+// extended simulator's validation plans, and worldSweeps the worlds'
+// collision-free sweeps (each scenario sweeps its moves twice, and
+// scenarios on one deck repeat most of them).
 type deckRuntime struct {
 	deck        *Deck
 	incidentDir string
 	pool        sync.Pool
 	worldPlans  *kin.PlanCache
 	simPlans    *kin.PlanCache
+	worldSweeps *world.SweepMemo
 }
 
 func newDeckRuntime(d *Deck, incidentDir string) *deckRuntime {
@@ -57,6 +61,7 @@ func newDeckRuntime(d *Deck, incidentDir string) *deckRuntime {
 		incidentDir: incidentDir,
 		worldPlans:  kin.NewPlanCache(planCacheCapacity),
 		simPlans:    kin.NewPlanCache(planCacheCapacity),
+		worldSweeps: world.NewSweepMemo(0),
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workflow"
+	"repro/internal/world"
 )
 
 // Options configures a campaign run.
@@ -75,10 +76,10 @@ func (k *KindStats) add(o KindStats) {
 	k.BenignAlerts += o.BenignAlerts
 }
 
-// Summary is a campaign's aggregate result. Every field except WallNS
-// and ScenariosPerSec is an order-independent integer sum, so summaries
-// are identical at any worker count — Counts() renders exactly the
-// invariant part.
+// Summary is a campaign's aggregate result. Every field except WallNS,
+// ScenariosPerSec and SweepMemo is an order-independent integer sum, so
+// summaries are identical at any worker count — Counts() renders exactly
+// the invariant part.
 type Summary struct {
 	N       int    `json:"n"`
 	Seed    uint64 `json:"seed"`
@@ -105,6 +106,10 @@ type Summary struct {
 
 	WallNS          int64   `json:"wall_ns"`
 	ScenariosPerSec float64 `json:"scenarios_per_sec"`
+	// SweepMemo sums the decks' sweep-memo counters (zero in naive
+	// mode). Which replay records a sweep first depends on scheduling,
+	// so the split between hits and misses varies with the worker count.
+	SweepMemo world.SweepMemoStats `json:"sweep_memo"`
 }
 
 // Totals sums KindStats across fault kinds.
@@ -168,12 +173,22 @@ func Run(o Options) (*Summary, error) {
 			return nil, fmt.Errorf("campaign: incident dir: %w", err)
 		}
 	}
-	// Read-only after construction; safe to share across workers.
+	return run(o, gen, newRuntimes(gen, o.IncidentDir)), nil
+}
+
+// newRuntimes builds one runtime per deck variant. The map is read-only
+// after construction, so workers share it.
+func newRuntimes(gen *Generator, incidentDir string) map[*Deck]*deckRuntime {
 	runtimes := make(map[*Deck]*deckRuntime)
 	for _, d := range gen.Decks() {
-		runtimes[d] = newDeckRuntime(d, o.IncidentDir)
+		runtimes[d] = newDeckRuntime(d, incidentDir)
 	}
+	return runtimes
+}
 
+// run executes the campaign on prepared deck runtimes; o is already
+// validated, with Workers set.
+func run(o Options, gen *Generator, runtimes map[*Deck]*deckRuntime) *Summary {
 	var next atomic.Int64
 	accums := make([]*accum, o.Workers)
 	var wg sync.WaitGroup
@@ -217,21 +232,29 @@ func Run(o Options) (*Summary, error) {
 	if secs := wall.Seconds(); secs > 0 {
 		s.ScenariosPerSec = float64(o.N) / secs
 	}
-	return s, nil
+	if !o.Naive {
+		for _, rt := range runtimes {
+			s.SweepMemo.Add(rt.worldSweeps.Stats())
+		}
+	}
+	return s
 }
 
 // runOne replays one scenario twice — unprotected against the
 // ground-truth world (the oracle) and through the full RABIT stack — and
 // classifies the outcome.
 func runOne(sc *Scenario, rt *deckRuntime, o Options, acc *accum, worker int) {
-	// The oracle replay shares the deck's world-plan cache in pooled mode;
-	// the naive baseline re-solves from scratch, as a one-shot harness
-	// would.
-	var plans *kin.PlanCache
+	// The oracle replay shares the deck's world-plan cache and sweep memo
+	// in pooled mode; the naive baseline re-solves and re-sweeps from
+	// scratch, as a one-shot harness would.
+	var (
+		plans  *kin.PlanCache
+		sweeps *world.SweepMemo
+	)
 	if !o.Naive {
-		plans = rt.worldPlans
+		plans, sweeps = rt.worldPlans, rt.worldSweeps
 	}
-	oracleUnsafe, micros, detail, oracleErr := runOracle(sc, plans)
+	oracleUnsafe, micros, detail, oracleErr := runOracle(sc, plans, sweeps)
 
 	var (
 		alerted bool
@@ -281,24 +304,28 @@ func runOne(sc *Scenario, rt *deckRuntime, o Options, acc *accum, worker int) {
 // campaignWorld applies the campaign motion regime to a freshly built
 // environment: exact motion (no repeatability noise), so every replay of
 // a scenario — oracle, protected, pooled, naive, any worker — commands
-// byte-identical moves, and an optional shared plan cache (pooled mode)
-// that memoizes those moves across the deck's scenarios.
-func campaignWorld(e *env.Env, plans *kin.PlanCache) {
+// byte-identical moves, and an optional shared plan cache and sweep memo
+// (pooled mode) that memoize those moves and their clean sweeps across
+// the deck's scenarios.
+func campaignWorld(e *env.Env, plans *kin.PlanCache, sweeps *world.SweepMemo) {
 	e.World().SetExactMotion(true)
 	if plans != nil {
 		e.World().SetMotionPlanCache(plans)
+	}
+	if sweeps != nil {
+		e.World().SetSweepMemo(sweeps)
 	}
 }
 
 // runOracle replays the scenario with no checker: the interceptor passes
 // every command straight to the ground-truth world, and whatever damage
 // events accumulate are the scenario's objective verdict.
-func runOracle(sc *Scenario, plans *kin.PlanCache) (unsafe bool, micros int64, detail string, err error) {
+func runOracle(sc *Scenario, plans *kin.PlanCache, sweeps *world.SweepMemo) (unsafe bool, micros int64, detail string, err error) {
 	e, berr := env.Build(sc.Deck.Compiled, env.StageTestbed, int64(sc.Seed))
 	if berr != nil {
 		return false, 0, "", berr
 	}
-	campaignWorld(e, plans)
+	campaignWorld(e, plans, sweeps)
 	ic := trace.NewInterceptor(nil, e)
 	ses := workflow.NewSession(ic, sc.Deck.Compiled)
 	ses.Measure = e.MeasureSolubility
@@ -344,7 +371,7 @@ func (dr *deckRuntime) runPooled(sc *Scenario, oracleUnsafe bool, detail string)
 	if err != nil {
 		return false, nil, 0, err
 	}
-	campaignWorld(e, dr.worldPlans)
+	campaignWorld(e, dr.worldPlans, dr.worldSweeps)
 	st.sm.Reset()
 	st.rec.Reset(fmt.Sprintf("s%07d", sc.Index))
 	st.eng.Rebind(e)
@@ -381,7 +408,7 @@ func runNaive(sc *Scenario, incidentDir string, oracleUnsafe bool, detail string
 	if err != nil {
 		return false, nil, 0, err
 	}
-	campaignWorld(e, nil)
+	campaignWorld(e, nil, nil)
 	// A plan-cache miss solves exactly what the cold planner would, so the
 	// naive mode's private cache lands on the branches the pooled mode's
 	// shared caches replay — the modes must agree scenario-by-scenario,

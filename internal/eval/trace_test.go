@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/action"
 	"repro/internal/geom"
@@ -193,30 +192,30 @@ func TestThroughputWithTracing(t *testing.T) {
 // scheduling noise on a small host, so a 2% gate needs many pairs
 // (CI runs 101) and an outlier-proof statistic.
 func BenchmarkTraceOverhead(b *testing.B) {
-	run := func(noTracing bool, speedup float64, perScript int) *ThroughputResult {
+	run := func(noTracing bool) float64 {
 		res, err := Throughput(ThroughputOptions{
 			Scripts:           8,
-			CommandsPerScript: perScript,
-			Speedup:           speedup,
+			CommandsPerScript: 40,
+			Speedup:           200,
 			NoTracing:         noTracing,
 			Seed:              1,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		return res
+		return res.CommandsPerSec
 	}
-	run(true, 200, 40) // warm up
+	run(true) // warm up
 	overheads := make([]float64, 0, b.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var off, on float64
 		if i%2 == 0 {
-			off = run(true, 200, 40).CommandsPerSec
-			on = run(false, 200, 40).CommandsPerSec
+			off = run(true)
+			on = run(false)
 		} else {
-			on = run(false, 200, 40).CommandsPerSec
-			off = run(true, 200, 40).CommandsPerSec
+			on = run(false)
+			off = run(true)
 		}
 		if off > 0 {
 			overheads = append(overheads, 100*(off-on)/off)
@@ -232,11 +231,4 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		}
 		b.ReportMetric(median, "overhead-%")
 	}
-	var onCheck, offCheck time.Duration
-	const checkPairs = 3
-	for i := 0; i < checkPairs; i++ {
-		offCheck += run(true, 0, 200).CheckPerCommand
-		onCheck += run(false, 0, 200).CheckPerCommand
-	}
-	b.ReportMetric(float64(onCheck-offCheck)/checkPairs, "check-delta-ns/cmd")
 }

@@ -278,6 +278,10 @@ func (w *World) finishMoveLocked(a *Arm, tr *kin.Trajectory, opts MoveOptions, c
 // capsules rejects far-away obstacles and arms before any narrow-phase
 // test. Bounds include the capsule radius, so the prepass can only skip
 // pairs the narrow phase would reject — verdicts are unchanged.
+//
+// With a sweep memo installed, a sweep whose exact inputs were already
+// swept clean returns nil at once, and a sweep that comes back clean is
+// recorded; a sweep that hits anything always runs in full.
 func (w *World) sweepLocked(a *Arm, tr *kin.Trajectory, opts MoveOptions, extraIgnore map[string]bool) error {
 	sc := &w.sweepScratch
 	sc.obstacles = w.obstaclesLocked(sc.obstacles[:0], a, opts, extraIgnore)
@@ -286,6 +290,16 @@ func (w *World) sweepLocked(a *Arm, tr *kin.Trajectory, opts MoveOptions, extraI
 	vol := &sc.vol
 	vol.arm, vol.tr, vol.roll, vol.held = a, tr, opts.Roll, w.heldVolumeLocked(a)
 	defer sc.release()
+	memo := w.sweepMemo
+	var key *sweepKey
+	if memo != nil {
+		key = memo.keys.Get().(*sweepKey)
+		defer memo.keys.Put(key)
+		w.sweepKeyLocked(key, a, tr, vol.roll, vol.held, obstacles, others)
+		if memo.seen(key.set, key.entry) {
+			return nil
+		}
+	}
 	var scratch [24]geom.AABB
 	n := tr.SampleCount(sweepStep)
 	for i := 0; i <= n; i++ {
@@ -312,6 +326,9 @@ func (w *World) sweepLocked(a *Arm, tr *kin.Trajectory, opts MoveOptions, extraI
 				return &CollisionError{Ev: ev}
 			}
 		}
+	}
+	if memo != nil {
+		memo.record(key.set, key.entry)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -229,7 +230,9 @@ func sameVolumeAlong(w *World, armID string, roll float64) error {
 // concurrent alike. Each episode runs the same script on two identically
 // built worlds, one per sweep form, and compares them after every move;
 // after every move the per-sample volumes of both forms must also agree
-// capsule for capsule.
+// capsule for capsule. A last episode parks one arm with its fingers
+// rolled sideways and drives the other into the rolled blade, a strike
+// that misses if the parked arm's roll is dropped.
 func TestSweepMatchesTwoPassReference(t *testing.T) {
 	var moves, collisions, heldMoves, heldEvents int
 	for episode := 0; episode < 12; episode++ {
@@ -313,6 +316,38 @@ func TestSweepMatchesTwoPassReference(t *testing.T) {
 	t.Logf("%d moves, %d collisions, %d moves carrying the vial, %d vial events", moves, collisions, heldMoves, heldEvents)
 	if collisions == 0 || heldMoves == 0 || heldEvents == 0 {
 		t.Fatal("the script must collide, carry the vial, and break it somewhere to pin the sweep")
+	}
+
+	// The viperx parks with its blade rolled toward the Ned2 (+X); the
+	// Ned2 descends to a point its own volume keeps clear of a viperx
+	// whose fingers hang straight down, but not of the rolled blade.
+	got, ref := testDeck(t), testDeck(t)
+	for _, w := range []*World{got, ref} {
+		clearVial(t, w)
+		w.SetExactMotion(true)
+	}
+	legs := []struct {
+		arm    string
+		target geom.Vec3
+		opts   MoveOptions
+	}{
+		{"viperx", geom.V(0.55, 0, 0.30), MoveOptions{Roll: math.Pi / 2}},
+		{"ned2", geom.V(0.61, 0, 0.40), MoveOptions{}},
+		{"ned2", geom.V(0.61, 0, 0.32), MoveOptions{}},
+	}
+	var gotErr error
+	for _, l := range legs {
+		gotErr = got.MoveArmTo(l.arm, l.target, l.opts)
+		refErr := refMoveArmTo(ref, l.arm, l.target, l.opts)
+		if fmt.Sprint(gotErr) != fmt.Sprint(refErr) {
+			t.Fatalf("rolled parked arm, %s→%v: error %v, reference %v", l.arm, l.target, gotErr, refErr)
+		}
+		if g, r := worldFingerprint(got), worldFingerprint(ref); g != r {
+			t.Fatalf("rolled parked arm, %s→%v: world\n%s\nreference\n%s", l.arm, l.target, g, r)
+		}
+	}
+	if ce, ok := AsCollision(gotErr); !ok || !strings.Contains(ce.Ev.Description, "robot arms ned2 and viperx") {
+		t.Fatalf("the Ned2 must strike the parked viperx's rolled blade, got %v", gotErr)
 	}
 }
 

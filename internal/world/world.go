@@ -150,8 +150,12 @@ type World struct {
 	// planCache, when set, memoizes MoveArmTo's IK plans. A hit is
 	// byte-identical to a cold solve; the cache pays off only with
 	// exactMotion on (noisy targets never repeat, so keys would only
-	// churn the LRU).
+	// churn the LRU). Its sibling sweepMemo skips the collision sweep
+	// of a move already swept clean.
 	planCache *kin.PlanCache
+	// sweepMemo, when set, answers sweeps whose exact inputs were swept
+	// clean before (see SweepMemo).
+	sweepMemo *SweepMemo
 	// sweepScratch is sweepLocked's reusable working memory.
 	sweepScratch sweepScratch
 }
