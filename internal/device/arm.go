@@ -57,6 +57,8 @@ type ArmDriver struct {
 	resolver LocationResolver
 	halted   bool
 	fault    Fault
+	// The state keys ReadState reports, built once.
+	asleepKey, atKey state.Key
 }
 
 var _ Driver = (*ArmDriver)(nil)
@@ -66,6 +68,7 @@ func NewArmDriver(id string, base geom.Vec3, profile *kin.Profile, behavior Vend
 	return &ArmDriver{
 		id: id, base: base, profile: profile,
 		behavior: behavior, resolver: resolver,
+		asleepKey: state.ArmAsleep(id), atKey: state.ArmAt(id),
 	}
 }
 
@@ -152,8 +155,8 @@ func (d *ArmDriver) ReadState(w *world.World, into state.Snapshot) {
 	if !ok {
 		return
 	}
-	into.Set(state.ArmAsleep(d.id), state.Bool(asleep))
+	into.Set(d.asleepKey, state.Bool(asleep))
 	if loc, err := w.NamedLocationOfArm(d.id); err == nil {
-		into.Set(state.ArmAt(d.id), state.Str(loc))
+		into.Set(d.atKey, state.Str(loc))
 	}
 }

@@ -14,6 +14,12 @@ import (
 type FixtureDriver struct {
 	id      string
 	hasDoor bool
+	// The state keys ReadState reports, built once: the sole door's (only
+	// for a door without named panels), the named panels', run state,
+	// setpoint and the centrifuge rotor mark.
+	doorKey                         state.Key
+	panels                          []panelKey
+	runningKey, valueKey, redDotKey state.Key
 	// firmwareLimit is the device's own built-in safety limit (e.g. the
 	// IKA hotplate's safe-temperature setting). It usually sits above
 	// the conservative threshold RABIT is configured with — built-in
@@ -24,10 +30,43 @@ type FixtureDriver struct {
 
 var _ Driver = (*FixtureDriver)(nil)
 
+// panelKey is one named door panel's state key.
+type panelKey struct {
+	name string
+	key  state.Key
+}
+
 // NewFixtureDriver builds a driver for a fixture already placed in the
-// world.
-func NewFixtureDriver(id string, hasDoor bool, firmwareLimit float64) *FixtureDriver {
-	return &FixtureDriver{id: id, hasDoor: hasDoor, firmwareLimit: firmwareLimit}
+// world; panels names its door panels when it has several.
+func NewFixtureDriver(id string, hasDoor bool, firmwareLimit float64, panels ...string) *FixtureDriver {
+	d := &FixtureDriver{
+		id: id, hasDoor: hasDoor, firmwareLimit: firmwareLimit,
+		runningKey: state.Running(id),
+		valueKey:   state.ActionValue(id),
+		redDotKey:  state.RedDotNorth(id),
+	}
+	if hasDoor && len(panels) == 0 {
+		d.doorKey = state.DoorStatus(id)
+	}
+	for _, name := range panels {
+		d.panels = append(d.panels, panelKey{name: name, key: state.DoorStatusOf(id, name)})
+	}
+	return d
+}
+
+// panelKey returns the state key of door panel name ("" for the sole
+// door): the one built at construction, or a new one for a panel the
+// driver was not built with.
+func (d *FixtureDriver) panelKey(name string) state.Key {
+	if name == "" && d.doorKey != "" {
+		return d.doorKey
+	}
+	for _, p := range d.panels {
+		if p.name == name {
+			return p.key
+		}
+	}
+	return state.DoorStatusOf(d.id, name)
 }
 
 // ID implements Driver.
@@ -98,16 +137,16 @@ func (d *FixtureDriver) ReadState(w *world.World, into state.Snapshot) {
 	if d.hasDoor {
 		if panels := f.Panels; len(panels) > 0 {
 			for _, p := range panels {
-				into.Set(state.DoorStatusOf(d.id, p.Name), state.Bool(p.Open))
+				into.Set(d.panelKey(p.Name), state.Bool(p.Open))
 			}
 		} else {
-			into.Set(state.DoorStatus(d.id), state.Bool(f.DoorOpen))
+			into.Set(d.panelKey(""), state.Bool(f.DoorOpen))
 		}
 	}
-	into.Set(state.Running(d.id), state.Bool(f.Running))
-	into.Set(state.ActionValue(d.id), state.Float(f.ActionValue))
+	into.Set(d.runningKey, state.Bool(f.Running))
+	into.Set(d.valueKey, state.Float(f.ActionValue))
 	if f.Kind == world.KindCentrifuge {
-		into.Set(state.RedDotNorth(d.id), state.Bool(f.RedDotNorth))
+		into.Set(d.redDotKey, state.Bool(f.RedDotNorth))
 	}
 }
 
@@ -116,14 +155,17 @@ func (d *FixtureDriver) ReadState(w *world.World, into state.Snapshot) {
 // class" extension the paper's Section V-B sketches for protecting
 // humans near the deck.
 type SensorDriver struct {
-	id    string
-	fault Fault
+	id          string
+	occupiedKey state.Key
+	fault       Fault
 }
 
 var _ Driver = (*SensorDriver)(nil)
 
 // NewSensorDriver builds a driver for a presence sensor.
-func NewSensorDriver(id string) *SensorDriver { return &SensorDriver{id: id} }
+func NewSensorDriver(id string) *SensorDriver {
+	return &SensorDriver{id: id, occupiedKey: state.ZoneOccupied(id)}
+}
 
 // ID implements Driver.
 func (d *SensorDriver) ID() string { return d.id }
@@ -152,7 +194,7 @@ func (d *SensorDriver) ReadState(w *world.World, into state.Snapshot) {
 		// A frozen sensor keeps reporting "clear".
 		occupied = false
 	}
-	into.Set(state.ZoneOccupied(d.id), state.Bool(occupied))
+	into.Set(d.occupiedKey, state.Bool(occupied))
 }
 
 // ContainerDriver handles cap/decap commands addressed to a container (a

@@ -10,6 +10,7 @@ package env
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -91,7 +92,9 @@ type Env struct {
 	// sensorIDs lists the presence sensors; scoped fetches always include
 	// them because their readings are exogenous inputs to rule checks.
 	sensorIDs []string
-	rng       *rand.Rand
+	// fetchLen is the size of the last FetchState snapshot.
+	fetchLen int
+	rng      *rand.Rand
 	// paceSpeedup > 0 makes Execute consume real wall-clock time:
 	// simulated device time divided by the speedup factor. Used by the
 	// latency experiment, where overhead percentages only mean something
@@ -179,8 +182,10 @@ func Build(lab *config.Lab, stage Stage, seed int64) (*Env, error) {
 		if ds.Door.Present {
 			f.Door = doorSide(ds.Door.Side)
 		}
+		var panels []string
 		for _, nd := range ds.Doors {
 			f.Panels = append(f.Panels, world.DoorPanel{Name: nd.Name, Side: doorSide(nd.Side)})
+			panels = append(panels, nd.Name)
 		}
 		if f.Kind == world.KindCentrifuge {
 			f.RedDotNorth = true
@@ -195,7 +200,7 @@ func Build(lab *config.Lab, stage Stage, seed int64) (*Env, error) {
 		}
 		firmware := ds.MaxSafeValue * 1.2 // firmware limits sit above the physical rating
 		hasDoor := ds.Door.Present || len(ds.Doors) > 0
-		e.drivers[ds.ID] = device.NewFixtureDriver(ds.ID, hasDoor, firmware)
+		e.drivers[ds.ID] = device.NewFixtureDriver(ds.ID, hasDoor, firmware, panels...)
 	}
 
 	for _, ls := range lab.Spec.Locations {
@@ -374,10 +379,13 @@ func (e *Env) ExecuteConcurrent(cmds []action.Command) error {
 func (e *Env) FetchState() state.Snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	s := state.Snapshot{}
+	// Every fetch reads the same drivers, so the last snapshot's size is
+	// this one's.
+	s := make(state.Snapshot, e.fetchLen)
 	for _, d := range e.drivers {
 		d.ReadState(e.w, s)
 	}
+	e.fetchLen = len(s)
 	return s
 }
 
@@ -391,18 +399,18 @@ func (e *Env) FetchStateScoped(ids []string) state.Snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := state.Snapshot{}
-	seen := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		if seen[id] {
+	// A scope lists a handful of devices, so a scan finds repeats faster
+	// than a set would.
+	for i, id := range ids {
+		if slices.Contains(ids[:i], id) {
 			continue
 		}
-		seen[id] = true
 		if d, ok := e.drivers[id]; ok {
 			d.ReadState(e.w, s)
 		}
 	}
 	for _, id := range e.sensorIDs {
-		if !seen[id] {
+		if !slices.Contains(ids, id) {
 			e.drivers[id].ReadState(e.w, s)
 		}
 	}

@@ -1,11 +1,14 @@
 package env
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/action"
+	"repro/internal/config"
 	"repro/internal/device"
 	"repro/internal/geom"
 	"repro/internal/labs"
@@ -235,5 +238,141 @@ func TestPacingConsumesWallTime(t *testing.T) {
 	// The door takes 1.5 simulated seconds → ≥15 ms paced.
 	if wall := time.Since(start); wall < 10*time.Millisecond {
 		t.Errorf("paced execution took only %v", wall)
+	}
+}
+
+// fetchSpecs returns the three labs' specs, each with a two-panel
+// pass-through station and a presence sensor added beside the deck, so
+// every driver key shape appears in every lab.
+func fetchSpecs() map[string]*config.LabSpec {
+	specs := map[string]*config.LabSpec{
+		"testbed":      labs.TestbedSpec(),
+		"hein":         labs.HeinProductionSpec(),
+		"berlinguette": labs.BerlinguetteSpec(),
+	}
+	for _, spec := range specs {
+		spec.Devices = append(spec.Devices,
+			config.DeviceSpec{
+				ID: "pass_through", Type: "action_device", Kind: "decapper", ClassName: "DecapperDriver",
+				Doors:    []config.NamedDoorSpec{{Name: "west", Side: "x-"}, {Name: "east", Side: "x+"}},
+				Cuboid:   config.BoxSpec{Min: config.Vec{X: 3, Y: 3, Z: 0}, Max: config.Vec{X: 3.2, Y: 3.2, Z: 0.3}},
+				Interior: &config.BoxSpec{Min: config.Vec{X: 3.02, Y: 3.02, Z: 0.02}, Max: config.Vec{X: 3.18, Y: 3.18, Z: 0.28}},
+			},
+			config.DeviceSpec{
+				ID: "zone_sensor", Type: "sensor", Kind: "presence", ClassName: "CardboardMockup",
+				Cuboid: config.BoxSpec{Min: config.Vec{X: 4, Y: 4, Z: 0}, Max: config.Vec{X: 4.5, Y: 4.5, Z: 0.5}},
+			})
+	}
+	return specs
+}
+
+// referenceFetch builds the snapshot FetchState must return for the
+// listed devices (nil: all of them) from the state-key constructors and
+// the world's ground truth. Sensors are always included.
+func referenceFetch(t *testing.T, e *Env, ids []string) state.Snapshot {
+	t.Helper()
+	w := e.World()
+	want := state.Snapshot{}
+	listed := func(id string) bool { return ids == nil || slices.Contains(ids, id) }
+	for _, as := range e.Lab().Spec.Arms {
+		if !listed(as.ID) {
+			continue
+		}
+		asleep, _ := w.ArmAsleep(as.ID)
+		want.Set(state.ArmAsleep(as.ID), state.Bool(asleep))
+		if loc, err := w.NamedLocationOfArm(as.ID); err == nil {
+			want.Set(state.ArmAt(as.ID), state.Str(loc))
+		}
+	}
+	for _, ds := range e.Lab().Spec.Devices {
+		f, ok := w.FixtureStatus(ds.ID)
+		if !ok {
+			t.Fatalf("fixture %s missing", ds.ID)
+		}
+		if ds.Type == "sensor" {
+			want.Set(state.ZoneOccupied(ds.ID), state.Bool(f.Occupied))
+			continue
+		}
+		if !listed(ds.ID) {
+			continue
+		}
+		for i, nd := range ds.Doors {
+			want.Set(state.DoorStatusOf(ds.ID, nd.Name), state.Bool(f.Panels[i].Open))
+		}
+		if ds.Door.Present {
+			want.Set(state.DoorStatus(ds.ID), state.Bool(f.DoorOpen))
+		}
+		want.Set(state.Running(ds.ID), state.Bool(f.Running))
+		want.Set(state.ActionValue(ds.ID), state.Float(f.ActionValue))
+		if ds.Kind == "centrifuge" {
+			want.Set(state.RedDotNorth(ds.ID), state.Bool(f.RedDotNorth))
+		}
+	}
+	return want
+}
+
+// TestFetchStateMatchesKeyConstructors: the keys the drivers build once
+// at construction equal the state.* constructors' keys, and FetchState
+// and FetchStateScoped report exactly the reference snapshot, in all
+// three labs, before and after doors, panels, setpoints, the sensor
+// reading and the arms change.
+func TestFetchStateMatchesKeyConstructors(t *testing.T) {
+	centrifuges := 0
+	for name, spec := range fetchSpecs() {
+		lab, err := config.Compile(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		e, err := Build(lab, StageTestbed, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		scopes := [][]string{
+			{"pass_through"},
+			{"pass_through", lab.Spec.Arms[0].ID, "pass_through", "no_such_device", "zone_sensor"},
+			{lab.Spec.Devices[1].ID, lab.Spec.Arms[len(lab.Spec.Arms)-1].ID, lab.Spec.Devices[1].ID},
+		}
+		check := func(step string) {
+			t.Helper()
+			// Twice: the second fetch is sized from the first.
+			for i := 0; i < 2; i++ {
+				if got, want := e.FetchState(), referenceFetch(t, e, nil); !maps.Equal(got, want) {
+					t.Fatalf("%s %s: FetchState\n got %v\nwant %v", name, step, got, want)
+				}
+			}
+			for _, ids := range scopes {
+				if got, want := e.FetchStateScoped(ids), referenceFetch(t, e, ids); !maps.Equal(got, want) {
+					t.Fatalf("%s %s: FetchStateScoped(%v)\n got %v\nwant %v", name, step, ids, got, want)
+				}
+			}
+		}
+		check("at build")
+		w := e.World()
+		if err := w.SetDoorNamed("pass_through", "east", true); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.SetFixtureValue("pass_through", 12.5); err != nil {
+			t.Fatal(err)
+		}
+		f, _ := w.Fixture("zone_sensor")
+		f.Occupied = true
+		for _, ds := range spec.Devices {
+			if ds.Door.Present {
+				if err := w.SetDoor(ds.ID, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		arm := lab.Spec.Arms[0].ID
+		if err := e.Execute(action.Command{Device: arm, Action: action.MoveSleep}); err != nil {
+			t.Fatal(err)
+		}
+		check("after changes")
+		if _, ok := e.FetchState().Get(state.RedDotNorth("centrifuge")); ok {
+			centrifuges++
+		}
+	}
+	if centrifuges == 0 {
+		t.Fatal("no lab reported a centrifuge's rotor mark")
 	}
 }

@@ -54,6 +54,10 @@ type Chain struct {
 	// twistOnce guards the one-time fill of the links' cached twist
 	// trig (prepare); Links must not change after the chain's first use.
 	twistOnce sync.Once
+	// restarts memoizes the chain's IK restart descents
+	// (restartmemo.go); its entries hold for this Base and these Links,
+	// so neither may change after the chain's first Solve.
+	restarts restartMemo
 }
 
 // prepare caches every link's twist cos and sin, once per chain. Every

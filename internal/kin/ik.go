@@ -75,8 +75,9 @@ func (c *Chain) Solve(target geom.Vec3, q0 []float64, opt IKOptions) ([]float64,
 
 	n := len(c.Links)
 	// Seeds are generated lazily — the q0 seed usually converges and the
-	// restart seeds never materialise. scratch is shared by every restart;
-	// only a new best solution is copied out.
+	// restart seeds never materialise; a restart the chain's memo answers
+	// needs no seed at all. scratch is shared by every restart; only a new
+	// best solution is copied out.
 	sc := newIKScratch(n, opt)
 	seed := make([]float64, n)
 
@@ -85,17 +86,13 @@ func (c *Chain) Solve(target geom.Vec3, q0 []float64, opt IKOptions) ([]float64,
 	bestScore := math.Inf(1)
 	bestPosErr := math.Inf(1)
 	for r := 0; r <= opt.Restarts; r++ {
+		var q []float64
+		var posErr, axErr float64
 		if r == 0 {
-			copy(seed, q0)
+			q, posErr, axErr = c.solveFrom(target, q0, opt, sc)
 		} else {
-			// Deterministic spread of seeds across the joint space.
-			for i, l := range c.Links {
-				span := l.MaxAngle - l.MinAngle
-				frac := math.Mod(0.318*float64(r)+0.618*float64(i+1), 1.0)
-				seed[i] = l.MinAngle + span*frac
-			}
+			q, posErr, axErr = c.restartDescent(target, r, opt, seed, sc)
 		}
-		q, posErr, axErr := c.solveFrom(target, seed, opt, sc)
 		if posErr > opt.Tol {
 			// Track in case nothing converges: the residual for error
 			// reporting, the configuration to warm-start the

@@ -90,7 +90,7 @@ func NewPlanCache(capacity int) *PlanCache {
 	return &PlanCache{
 		cap:   capacity,
 		ll:    list.New(),
-		items: make(map[string]*list.Element, capacity),
+		items: make(map[string]*list.Element),
 	}
 }
 

@@ -53,7 +53,7 @@ func newVerdictCache(capacity int) *verdictCache {
 	return &verdictCache{
 		cap:   capacity,
 		ll:    list.New(),
-		items: make(map[string]*list.Element, capacity),
+		items: make(map[string]*list.Element),
 	}
 }
 
