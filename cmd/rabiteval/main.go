@@ -9,12 +9,13 @@
 //	rabiteval -fig 5        run one figure experiment (5, 6)
 //	rabiteval -latency      run the latency experiment
 //	rabiteval -throughput   run the replay-throughput benchmark
+//	                        (-gateway also measures the HTTP gateway
+//	                        over -labs tenants)
 //	rabiteval -motion       run the motion-planning fast-path benchmark
-//	                        (-json FILE additionally writes the rows as JSON)
 //	rabiteval -motion -cold run the cold-path adversarial benchmark: every
 //	                        command targets a fresh point, so every check
-//	                        runs the full sweep (legacy vs brute vs
-//	                        indexed, serial and sharded)
+//	                        runs the full sweep (brute vs indexed, serial
+//	                        and sharded); a table only, no -json artifact
 //	rabiteval -campaign -n 10000 -seed 1 -workers 8
 //	                        run a seeded safety campaign: n generated
 //	                        fault-injection scenarios through pooled
@@ -56,6 +57,12 @@
 //	                        path or http URL) against the grammar
 //	rabiteval -version      print build provenance and exit
 //
+// -json FILE writes the bench artifact of -throughput, -motion or
+// -campaign. A sub-flag given without its mode (-cold without -motion,
+// -gateway without -throughput, -labs without -gateway, -n or -workers
+// without -campaign, -threshold without -compare, -json without an
+// artifact-writing mode) is an error, not silently ignored.
+//
 // With -metrics addr the process serves live telemetry while the
 // experiments run: /debug/vars (expvar), /metrics (text exposition), and
 // /debug/pprof (profiling). Every lab system the harness builds registers
@@ -81,9 +88,9 @@ import (
 )
 
 // benchSchema versions the JSON envelope every benchmark mode writes.
-// All four artifacts (-throughput, -motion, -motion -cold, -campaign)
-// share it: config holds the knobs that produced the run, metrics the
-// headline scalars CI gates read, rows the per-configuration detail.
+// All three artifacts (-throughput, -motion, -campaign) share it: config
+// holds the knobs that produced the run, metrics the headline scalars CI
+// gates read, rows the per-configuration detail.
 const benchSchema = "rabit-bench/v1"
 
 // writeBenchJSON persists one benchmark artifact in the shared envelope.
@@ -145,6 +152,9 @@ func run() error {
 	traceIn := flag.String("trace", "", "render the span trees in this OTLP-JSON trace file and exit")
 	seed := flag.Int64("seed", 1, "noise seed")
 	flag.Parse()
+	if err := checkSubFlags(givenFlags(flag.CommandLine)); err != nil {
+		return err
+	}
 
 	if *version {
 		fmt.Println("rabiteval", obs.ReadBuild())
@@ -242,7 +252,7 @@ func run() error {
 		}
 	}
 	if *motion && *cold {
-		if err := coldRun(*seed, *jsonPath); err != nil {
+		if err := coldRun(*seed); err != nil {
 			return err
 		}
 	} else if all || *motion {
@@ -258,6 +268,41 @@ func run() error {
 		if err := pilotRun(); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// subFlagModes names the mode flag each sub-flag modifies.
+var subFlagModes = []struct{ sub, mode string }{
+	{"cold", "motion"},
+	{"gateway", "throughput"},
+	{"labs", "gateway"},
+	{"n", "campaign"},
+	{"workers", "campaign"},
+	{"threshold", "compare"},
+}
+
+// givenFlags returns the flags given on fs's command line with a value
+// other than false or empty.
+func givenFlags(fs *flag.FlagSet) map[string]bool {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) {
+		v := f.Value.String()
+		set[f.Name] = v != "false" && v != ""
+	})
+	return set
+}
+
+// checkSubFlags rejects a sub-flag given without the mode it modifies,
+// which would otherwise be silently ignored. set is givenFlags' result.
+func checkSubFlags(set map[string]bool) error {
+	for _, d := range subFlagModes {
+		if set[d.sub] && !set[d.mode] {
+			return fmt.Errorf("-%s needs -%s", d.sub, d.mode)
+		}
+	}
+	if set["json"] && !set["throughput"] && !set["campaign"] && !(set["motion"] && !set["cold"]) {
+		return fmt.Errorf("-json needs -throughput, -motion (without -cold) or -campaign")
 	}
 	return nil
 }
@@ -477,64 +522,17 @@ func writeMotionJSON(path string, rows []eval.MotionResult) error {
 }
 
 // coldRun measures the cold-path geometry engine: the identical seeded
-// fresh-target streams replayed under the legacy, brute-force, and
-// indexed sweep pipelines, serially and sharded across arms.
-func coldRun(seed int64, jsonPath string) error {
-	fmt.Println("=== Cold-path geometry: adversarial fresh-target sweep (legacy vs brute vs indexed) ===")
+// fresh-target streams replayed under the brute-force and indexed sweep
+// pipelines, serially and sharded across arms.
+func coldRun(seed int64) error {
+	fmt.Println("=== Cold-path geometry: adversarial fresh-target sweep (brute vs indexed) ===")
 	rows, err := eval.MotionCold(eval.ColdOptions{Checks: 150, Seed: seed})
 	if err != nil {
 		return err
 	}
 	fmt.Print(eval.RenderCold(rows))
 	fmt.Println()
-	if jsonPath != "" {
-		if err := writeColdJSON(jsonPath, rows); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", jsonPath)
-	}
 	return nil
-}
-
-// writeColdJSON persists the cold rows in the shared bench envelope.
-func writeColdJSON(path string, rows []eval.ColdResult) error {
-	type row struct {
-		Mode          string `json:"mode"`
-		Context       string `json:"context"`
-		Checks        int    `json:"checks"`
-		Accepts       int    `json:"accepts"`
-		WallNS        int64  `json:"wall_ns"`
-		P50NS         int64  `json:"p50_ns"`
-		P95NS         int64  `json:"p95_ns"`
-		PlanHits      int64  `json:"plan_cache_hits"`
-		PlanMisses    int64  `json:"plan_cache_misses"`
-		Candidates    int64  `json:"index_candidates"`
-		Kept          int64  `json:"broadphase_kept"`
-		Pruned        int64  `json:"broadphase_pruned"`
-		IndexRebuilds int64  `json:"index_rebuilds"`
-	}
-	var out []row
-	for _, r := range rows {
-		out = append(out, row{
-			Mode:          r.Mode,
-			Context:       r.Context,
-			Checks:        r.Checks,
-			Accepts:       r.Accepts,
-			WallNS:        r.Wall.Nanoseconds(),
-			P50NS:         r.P50.Nanoseconds(),
-			P95NS:         r.P95.Nanoseconds(),
-			PlanHits:      r.PlanHits,
-			PlanMisses:    r.PlanMisses,
-			Candidates:    r.Candidates,
-			Kept:          r.Kept,
-			Pruned:        r.Pruned,
-			IndexRebuilds: r.Rebuilds,
-		})
-	}
-	return writeBenchJSON(path, "cold_geometry",
-		map[string]any{"checks": 150},
-		map[string]any{"cold_p95_speedup": eval.ColdSpeedup(rows)},
-		out)
 }
 
 // campaignRun executes a seeded safety campaign and reports the pooled

@@ -22,12 +22,9 @@ import (
 // benchmark: every command targets a point no previous command visited,
 // so the verdict cache never hits and every check runs the full
 // swept-volume pipeline. That isolates the cold-path geometry work the
-// deck spatial index exists to cut. Three sweep implementations replay
+// deck spatial index exists to cut. Both sweep implementations replay
 // the identical seeded target streams:
 //
-//	legacy   the pre-index pipeline: whole-trajectory broadphase prune
-//	         plus the iterative golden-section narrow phase — the honest
-//	         before-measurement
 //	brute    broadphase off: every solid tested at every sample with the
 //	         exact narrow phase (the property tests' oracle)
 //	indexed  the batched SoA sweep over the deck spatial index
@@ -39,7 +36,6 @@ import (
 
 // Cold sweep modes.
 const (
-	ColdModeLegacy  = "legacy"
 	ColdModeBrute   = "brute"
 	ColdModeIndexed = "indexed"
 )
@@ -70,8 +66,8 @@ type ColdResult struct {
 	Accepts int
 	Wall    time.Duration
 	// P50/P95 are exact per-check latency percentiles over the raw
-	// durations (the obs histogram buckets are too coarse for the ≥10x
-	// claim this benchmark exists to measure).
+	// durations (the obs histogram buckets are too coarse for the
+	// brute/indexed ratio this benchmark exists to measure).
 	P50 time.Duration
 	P95 time.Duration
 	// Plan-cache counters prove the IK layer was warm (hits) and stayed
@@ -121,8 +117,6 @@ func newColdSim(lab *config.Lab, mode string, pc *kin.PlanCache, reg *obs.Regist
 		opts = append(opts, sim.WithObserver(reg))
 	}
 	switch mode {
-	case ColdModeLegacy:
-		opts = append(opts, sim.WithLegacySweep(true))
 	case ColdModeBrute:
 		opts = append(opts, sim.WithBroadphase(false))
 	case ColdModeIndexed:
@@ -221,16 +215,13 @@ func runCold(lab *config.Lab, mode, context string, streams map[string][]geom.Ve
 	}, nil
 }
 
-// MotionCold runs the cold-path benchmark: every mode × context over the
-// identical seeded target streams, all sharing one plan cache pre-warmed
-// by a throwaway replay so the measured latencies are sweep cost, not IK.
-func MotionCold(o ColdOptions) ([]ColdResult, error) {
-	if o.Checks <= 0 {
-		o.Checks = 150
-	}
+// coldSetup compiles the testbed, builds every arm's seeded stream and
+// pre-warms one plan cache with a throwaway replay, so runCold measures
+// sweep cost, not IK.
+func coldSetup(o ColdOptions) (*config.Lab, map[string][]geom.Vec3, *kin.PlanCache, error) {
 	lab, err := config.Compile(labs.TestbedSpec())
 	if err != nil {
-		return nil, fmt.Errorf("eval: cold: %w", err)
+		return nil, nil, nil, fmt.Errorf("eval: cold: %w", err)
 	}
 	streams := make(map[string][]geom.Vec3, len(coldArms))
 	for _, arm := range coldArms {
@@ -244,16 +235,28 @@ func MotionCold(o ColdOptions) ([]ColdResult, error) {
 	pc := kin.NewPlanCache(0)
 	warm, err := newColdSim(lab, ColdModeIndexed, pc, nil)
 	if err != nil {
-		return nil, fmt.Errorf("eval: cold: %w", err)
+		return nil, nil, nil, fmt.Errorf("eval: cold: %w", err)
 	}
 	for _, arm := range coldArms {
 		for _, tgt := range streams[arm] {
 			_ = warm.ValidTrajectory(action.Command{Device: arm, Action: action.MoveRobot, Target: tgt}, state.Snapshot(nil))
 		}
 	}
+	return lab, streams, pc, nil
+}
 
+// MotionCold runs the cold-path benchmark: every mode × context over the
+// identical seeded target streams, all sharing one pre-warmed plan cache.
+func MotionCold(o ColdOptions) ([]ColdResult, error) {
+	if o.Checks <= 0 {
+		o.Checks = 150
+	}
+	lab, streams, pc, err := coldSetup(o)
+	if err != nil {
+		return nil, err
+	}
 	var out []ColdResult
-	for _, mode := range []string{ColdModeLegacy, ColdModeBrute, ColdModeIndexed} {
+	for _, mode := range []string{ColdModeBrute, ColdModeIndexed} {
 		for _, context := range []string{ColdContextSerial, ColdContextSharded} {
 			r, err := runCold(lab, mode, context, streams, pc)
 			if err != nil {
@@ -265,29 +268,28 @@ func MotionCold(o ColdOptions) ([]ColdResult, error) {
 	return out, nil
 }
 
-// ColdSpeedup returns the legacy over indexed ratio of serial-context
-// p95 check latency — the tentpole's ≥10x claim — or 0 if either row is
-// missing.
+// ColdSpeedup returns the brute over indexed ratio of serial-context p95
+// check latency, or 0 if either row is missing.
 func ColdSpeedup(rows []ColdResult) float64 {
-	var legacy, indexed time.Duration
+	var brute, indexed time.Duration
 	for _, r := range rows {
 		if r.Context != ColdContextSerial {
 			continue
 		}
 		switch r.Mode {
-		case ColdModeLegacy:
-			legacy = r.P95
+		case ColdModeBrute:
+			brute = r.P95
 		case ColdModeIndexed:
 			indexed = r.P95
 		}
 	}
-	if legacy <= 0 {
+	if brute <= 0 {
 		return 0
 	}
 	if indexed < time.Nanosecond {
 		indexed = time.Nanosecond
 	}
-	return float64(legacy) / float64(indexed)
+	return float64(brute) / float64(indexed)
 }
 
 // RenderCold prints the benchmark rows.
@@ -303,7 +305,7 @@ func RenderCold(rows []ColdResult) string {
 			fmt.Sprintf("%d/%d", r.Pruned, r.Kept), r.Rebuilds)
 	}
 	if sp := ColdSpeedup(rows); sp > 0 {
-		out += fmt.Sprintf("\ncold p95 speedup (legacy/indexed, serial): %.1fx\n", sp)
+		out += fmt.Sprintf("\ncold p95 speedup (brute/indexed, serial): %.1fx\n", sp)
 	}
 	return out
 }

@@ -223,12 +223,16 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	}
 	b.StopTimer()
 	if len(overheads) > 0 {
-		sort.Float64s(overheads)
-		mid := len(overheads) / 2
-		median := overheads[mid]
-		if len(overheads)%2 == 0 {
-			median = (overheads[mid-1] + overheads[mid]) / 2
-		}
-		b.ReportMetric(median, "overhead-%")
+		b.ReportMetric(median(overheads), "overhead-%")
 	}
+}
+
+// median returns the median of xs, which it sorts in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	mid := len(xs) / 2
+	if len(xs)%2 == 0 {
+		return (xs[mid-1] + xs[mid]) / 2
+	}
+	return xs[mid]
 }

@@ -103,46 +103,6 @@ func SegmentAABBDistSq(s Segment, b AABB) float64 {
 	return best
 }
 
-// SegmentAABBDistRef is the previous iterative implementation — a
-// bounded golden-section refinement over the segment parameter of the
-// point-to-box distance, seeded by uniform sampling. Retained as the
-// measured pre-index baseline for the cold-path benchmark (the legacy
-// sweep mode) and as an independent cross-check for the exact form.
-func SegmentAABBDistRef(s Segment, b AABB) float64 {
-	// Fast paths: either endpoint inside, or the segment clearly crosses.
-	if b.ContainsPoint(s.A) || b.ContainsPoint(s.B) {
-		return 0
-	}
-	if hit, _ := SegmentAABBIntersect(s, b); hit {
-		return 0
-	}
-	f := func(t float64) float64 { return b.DistToPoint(s.Point(t)) }
-	// Seed: coarse sampling to bracket the global minimum of a piecewise
-	// smooth convex-ish function.
-	const n = 16
-	bestT, bestD := 0.0, f(0)
-	for i := 1; i <= n; i++ {
-		t := float64(i) / n
-		if d := f(t); d < bestD {
-			bestD, bestT = d, t
-		}
-	}
-	lo := math.Max(0, bestT-1.0/n)
-	hi := math.Min(1, bestT+1.0/n)
-	// Golden-section refine.
-	const phi = 0.6180339887498949
-	for i := 0; i < 40; i++ {
-		m1 := hi - phi*(hi-lo)
-		m2 := lo + phi*(hi-lo)
-		if f(m1) <= f(m2) {
-			hi = m2
-		} else {
-			lo = m1
-		}
-	}
-	return f((lo + hi) / 2)
-}
-
 // SegmentAABBIntersect reports whether the segment intersects the box,
 // using the slab method. When it does, it also returns the smallest
 // parameter t ∈ [0,1] at which the segment is inside the box.

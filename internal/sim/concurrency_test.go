@@ -131,8 +131,9 @@ func TestConcurrentChecksMatchSerial(t *testing.T) {
 // across the deck — accepting and rejecting moves against every solid
 // class (cuboid, rounded, wall, platform, unplannable) — and asserts the
 // broadphase-pruned simulator returns exactly the verdicts (including
-// reasons) of the unpruned one. The scenario geometry of the Table III/IV
-// controlled experiments (the grid-collision move, the footnote-2
+// reasons) of the unpruned one and of a GUI one, which runs the classic
+// scan too but renders every sample. The scenario geometry of the Table
+// III/IV controlled experiments (the grid-collision move, the footnote-2
 // centrifuge crossing, the wall strike) is exercised explicitly below.
 func TestBroadphaseVerdictEquivalence(t *testing.T) {
 	lab, err := labs.Testbed()
@@ -147,6 +148,10 @@ func TestBroadphaseVerdictEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gui, err := New(lab, WithGUI(64, 48))
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := lab.InitialModelState()
 	// A gripped vial extends the swept volume downward.
 	held := m.Clone()
@@ -154,22 +159,35 @@ func TestBroadphaseVerdictEquivalence(t *testing.T) {
 	held.Set(state.HeldObject("viperx"), state.Str("vial_1"))
 
 	accepts, rejects := 0, 0
-	check := func(cmd action.Command, model state.Snapshot, label string) {
+	check := func(cmd action.Command, model state.Snapshot, label string) string {
 		t.Helper()
 		vp := verdict(pruned.ValidTrajectory(cmd, model))
 		vf := verdict(full.ValidTrajectory(cmd, model))
 		if vp != vf {
 			t.Fatalf("%s: broadphase verdict %q, unpruned %q", label, vp, vf)
 		}
+		if vg := verdict(gui.ValidTrajectory(cmd, model)); vg != vp {
+			t.Fatalf("%s: broadphase verdict %q, GUI %q", label, vp, vg)
+		}
 		if vp == "ok" {
 			accepts++
 			pruned.Observe(cmd, model)
 			full.Observe(cmd, model)
+			gui.Observe(cmd, model)
 		} else {
 			rejects++
 		}
+		return vp
 	}
 
+	// Table V's wall hazard: hover near the wall, then pierce it. Run from
+	// the home pose, before the grid moves the arm: from the grid's last
+	// pose both moves hit the centrifuge first, and no check would reach
+	// a wall.
+	check(moveOn("viperx", geom.V(0.35, 0.52, 0.35)), m, "wall hover")
+	if v := check(moveOn("viperx", geom.V(0.35, 0.64, 0.30)), m, "wall strike"); !strings.Contains(v, "wall") {
+		t.Errorf("wall strike: verdict %q does not name the wall", v)
+	}
 	for _, x := range []float64{0.12, 0.26, 0.35, 0.5, 0.63} {
 		for _, y := range []float64{-0.45, -0.18, 0.05, 0.25, 0.45, 0.64} {
 			for _, z := range []float64{0.04, 0.12, 0.3} {
@@ -188,9 +206,6 @@ func TestBroadphaseVerdictEquivalence(t *testing.T) {
 	} {
 		check(cmd, m, fmt.Sprintf("footnote-2 leg %v", cmd.Target))
 	}
-	// Table V's wall hazard: hover near the wall, then pierce it.
-	check(moveOn("viperx", geom.V(0.35, 0.52, 0.35)), m, "wall hover")
-	check(moveOn("viperx", geom.V(0.35, 0.64, 0.30)), m, "wall strike")
 	// Held-object geometry (the Bug-13 class).
 	check(moveOn("viperx", geom.V(0.45, 0.10, 0.07)), held, "held vial graze")
 	check(moveOn("viperx", geom.V(0.45, 0.10, 0.30)), held, "held vial clear")

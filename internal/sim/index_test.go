@@ -122,42 +122,6 @@ func TestIndexVerdictEquivalenceRandomized(t *testing.T) {
 	}
 }
 
-// TestLegacySweepVerdictEquivalence pins the retained legacy pipeline to
-// the same contract on the fixed testbed grid: the benchmark's
-// before-measurement must be measuring the same decisions, or the
-// speedup would compare different safety envelopes.
-func TestLegacySweepVerdictEquivalence(t *testing.T) {
-	lab, err := labs.Testbed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := New(lab, WithLegacySweep(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	indexed, err := New(lab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := lab.InitialModelState()
-	for _, x := range []float64{0.12, 0.26, 0.35, 0.5, 0.63} {
-		for _, y := range []float64{-0.45, -0.18, 0.05, 0.25, 0.45, 0.64} {
-			for _, z := range []float64{0.04, 0.12, 0.3} {
-				cmd := moveOn("viperx", geom.V(x, y, z))
-				vl := verdict(legacy.ValidTrajectory(cmd, m))
-				vi := verdict(indexed.ValidTrajectory(cmd, m))
-				if vl != vi {
-					t.Fatalf("target %v: legacy %q, indexed %q", cmd.Target, vl, vi)
-				}
-				if vl == "ok" {
-					legacy.Observe(cmd, m)
-					indexed.Observe(cmd, m)
-				}
-			}
-		}
-	}
-}
-
 // TestIndexRebuildUnderLoad races concurrent sharded checks — all
 // sharing one deck index — against a goroutine hammering BumpDeckEpoch,
 // so index rebuilds land mid-batch while both arms are querying. Deck

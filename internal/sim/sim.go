@@ -81,23 +81,13 @@ func WithHeldObjectAware(aware bool) Option {
 	return func(s *Simulator) { s.heldAware = aware }
 }
 
-// WithBroadphase enables or disables broadphase pruning (on by
-// default; with it on, cold sweeps run the batched spatial-index path).
-// Disabling it forces the narrow phase to test every solid at every
-// sample — the brute-force reference behaviour the verdict-equivalence
-// property tests compare the indexed path against.
+// WithBroadphase selects the cold sweep path. On (the default), sweeps
+// run the batched deck-index path; off, they run the classic scan, which
+// tests every solid at every sample — the brute-force oracle the
+// verdict-equivalence property tests compare the index against. The GUI
+// always runs the classic scan, since it renders every sample.
 func WithBroadphase(enabled bool) Option {
 	return func(s *Simulator) { s.broadphase = enabled }
-}
-
-// WithLegacySweep routes cold sweeps through the pre-index pipeline:
-// whole-trajectory broadphase pruning plus a per-sample narrow phase
-// using the iterative golden-section segment-box distance
-// (geom.SegmentAABBDistRef). Retained as the honest before-measurement
-// for the cold-path benchmark — the exact closed-form distance also sped
-// up the brute path, so comparing against it would understate the win.
-func WithLegacySweep(enabled bool) Option {
-	return func(s *Simulator) { s.legacySweep = enabled }
 }
 
 // WithObserver publishes simulator telemetry (collision-check counter,
@@ -171,11 +161,9 @@ type mirrorArm struct {
 	drop    float64
 	radius  float64
 	// Scratch buffers reused across checks (guarded by mu): the sampling
-	// workspace, the combined link+tip capsule slice, and the broadphase
-	// survivor lists.
+	// workspace, the combined link+tip capsule slice, and the wall planes.
 	sweep kin.Sweep
 	caps  []geom.Capsule
-	kept  []rules.NamedBox
 	walls []geom.Plane
 	// Batched sweep scratch: the SoA sample layout, per-sample tip-start
 	// indices, and the indexed path's exclusion mask, candidate lists,
@@ -197,9 +185,6 @@ type Simulator struct {
 	arms       map[string]*mirrorArm // immutable map; values self-locked
 	heldAware  bool
 	broadphase bool
-	// legacySweep routes cold sweeps through the pre-index pipeline (see
-	// WithLegacySweep).
-	legacySweep bool
 	// index is the published deck spatial index; indexMu serialises
 	// rebuilds when the deck epoch moves (see deckindex.go).
 	index   atomic.Pointer[deckIndex]
@@ -650,7 +635,7 @@ func (s *Simulator) sweepValidate(m *mirrorArm, from []float64, cmd action.Comma
 }
 
 // sweepCheck runs the full swept-volume check of a planned trajectory
-// against the model's deck. The caller holds m.mu. Three implementations
+// against the model's deck. The caller holds m.mu. Two implementations
 // share one contract — identical verdicts with byte-identical violation
 // strings (the equivalence property tests pin this):
 //
@@ -659,12 +644,9 @@ func (s *Simulator) sweepValidate(m *mirrorArm, from []float64, cmd action.Comma
 //     conservative per-sample early-out;
 //   - classic scan (broadphase off, or under the GUI, which renders every
 //     sample): per-sample brute force over the full deck — the oracle the
-//     property tests compare the index against;
-//   - legacy (WithLegacySweep): the pre-index broadphase prepass with the
-//     iterative narrow-phase predicate, retained as the honest
-//     before-measurement for the cold benchmark.
+//     property tests compare the index against.
 func (s *Simulator) sweepCheck(m *mirrorArm, tr *kin.Trajectory, cmd action.Command, model state.Snapshot) error {
-	if s.broadphase && s.gui == nil && !s.legacySweep {
+	if s.broadphase && s.gui == nil {
 		return s.sweepCheckIndexed(m, tr, cmd, model)
 	}
 	return s.sweepCheckClassic(m, tr, cmd, model)
@@ -801,20 +783,9 @@ func (s *Simulator) sweepCheckIndexed(m *mirrorArm, tr *kin.Trajectory, cmd acti
 	return nil
 }
 
-// legacyIntersectsCapsule is the pre-index narrow-phase predicate: the
-// iterative golden-section segment–box distance instead of the exact
-// closed form. Kept only so WithLegacySweep measures the old cost
-// honestly.
-func legacyIntersectsCapsule(nb rules.NamedBox, c geom.Capsule) bool {
-	if nb.Rounded != nil {
-		return geom.CapsuleCapsuleIntersect(c, *nb.Rounded)
-	}
-	return geom.SegmentAABBDistRef(c.Seg, nb.Box) <= c.Radius
-}
-
-// sweepCheckClassic is the unindexed sweep: the per-sample brute scan the
-// GUI and the equivalence property tests drive, plus the legacy
-// broadphase prepass. The caller holds m.mu.
+// sweepCheckClassic is the unindexed sweep: the per-sample brute scan
+// over the full deck that the GUI renders and the equivalence property
+// tests compare the index against. The caller holds m.mu.
 func (s *Simulator) sweepCheckClassic(m *mirrorArm, tr *kin.Trajectory, cmd action.Command, model state.Snapshot) error {
 	obstacles := s.obstacles(cmd, model)
 	floor := geom.PlaneFromPointNormal(geom.V(0, 0, s.lab.Spec.FloorZ), geom.V(0, 0, 1))
@@ -823,82 +794,29 @@ func (s *Simulator) sweepCheckClassic(m *mirrorArm, tr *kin.Trajectory, cmd acti
 		// See sweepCheckIndexed on the offset rescale.
 		m.walls = append(m.walls, geom.PlaneFromNormalOffset(ws.Normal.V3(), ws.Offset))
 	}
-	walls := m.walls
-	checkFloor := true
-	cached := false
-	hit := rules.NamedBox.IntersectsCapsule
-	if s.legacySweep {
-		hit = legacyIntersectsCapsule
-	}
-
-	// Broadphase: prune every solid and plane the swept volume cannot
-	// touch, so the narrow phase only tests real candidates. Skipped under
-	// the GUI, which wants the full deck in every rendered frame.
-	if s.broadphase && s.gui == nil {
-		cached = true
-		if err := s.fillBatch(m, tr, cmd, model); err != nil {
-			return &Violation{Cmd: cmd, Reason: err.Error()}
-		}
-		bounds := m.batch.Bounds()
-		pruned := 0
-		m.kept = m.kept[:0]
-		for _, nb := range obstacles {
-			if nb.Box.Intersects(bounds) {
-				m.kept = append(m.kept, nb)
-			} else {
-				pruned++
-			}
-		}
-		obstacles = m.kept
-		keptWalls := walls[:0]
-		for _, w := range walls {
-			if w.MinSignedDistAABB(bounds) < 0 {
-				keptWalls = append(keptWalls, w)
-			} else {
-				pruned++
-			}
-		}
-		walls = keptWalls
-		if floor.MinSignedDistAABB(bounds) >= 0 {
-			checkFloor = false
-			pruned++
-		}
-		s.cPruned.Add(int64(pruned))
-		s.cKept.Add(int64(len(obstacles) + len(walls)))
-	}
 
 	n := tr.SampleCount(sweepStep)
 	for i := 0; i <= n; i++ {
 		t := float64(i) / float64(n)
-		var caps []geom.Capsule
-		var tipStart int
-		if cached {
-			caps = m.batch.Sample(i)
-			tipStart = m.sampleTip[i]
-		} else {
-			var err error
-			caps, tipStart, err = s.armCapsulesAt(m, tr, t, cmd, model)
-			if err != nil {
-				return &Violation{Cmd: cmd, Reason: fmt.Sprintf("sweep capsules at t=%.3f: %v", t, err)}
-			}
+		caps, tipStart, err := s.armCapsulesAt(m, tr, t, cmd, model)
+		if err != nil {
+			return &Violation{Cmd: cmd, Reason: fmt.Sprintf("sweep capsules at t=%.3f: %v", t, err)}
 		}
 		if s.gui != nil {
 			s.guiMu.Lock()
 			s.gui.renderScene(obstacles, caps)
 			s.guiMu.Unlock()
 		}
-		if checkFloor {
-			// Tip capsules (fingers + held object) are additionally
-			// checked against the platform; link capsules are not — the
-			// base column legitimately meets it.
-			for _, c := range caps[tipStart:] {
-				if geom.CapsulePlanePenetrates(c, floor) {
-					return &Violation{Cmd: cmd, Reason: fmt.Sprintf("trajectory dips below the platform at t=%.2f", t)}
-				}
+		// Tip capsules (fingers + held object) are additionally checked
+		// against the platform; link capsules are not — the base column
+		// legitimately meets it.
+		for _, c := range caps[tipStart:] {
+			if geom.CapsulePlanePenetrates(c, floor) {
+				return &Violation{Cmd: cmd, Reason: fmt.Sprintf("trajectory dips below the platform at t=%.2f", t)}
 			}
 		}
 		for _, c := range caps {
-			for _, wall := range walls {
+			for _, wall := range m.walls {
 				if geom.CapsulePlanePenetrates(c, wall) {
 					return &Violation{Cmd: cmd, Reason: fmt.Sprintf("trajectory punches into a lab wall at t=%.2f", t)}
 				}
@@ -906,7 +824,7 @@ func (s *Simulator) sweepCheckClassic(m *mirrorArm, tr *kin.Trajectory, cmd acti
 		}
 		for _, c := range caps {
 			for _, nb := range obstacles {
-				if hit(nb, c) {
+				if nb.IntersectsCapsule(c) {
 					return &Violation{Cmd: cmd, Reason: fmt.Sprintf("trajectory collides with %s at t=%.2f", nb.Name, t)}
 				}
 			}
